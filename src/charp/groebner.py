@@ -8,9 +8,19 @@ Conventions: the zero ideal has canonical basis []; the unit ideal has
 canonical basis [1]. Monomial ideals (every generator a single term) skip
 Buchberger entirely: divisibility minimalization of the generators already
 IS the reduced basis.
+
+Everything else goes through Buchberger's algorithm with the normal
+selection strategy (smallest lcm of the pair's leads first). Pairs wait in a
+heap, keyed once when they are created, and the criteria of Gebauer and
+Moeller ("On an installation of Buchberger's algorithm", J. Symb. Comp.
+1988) drop the pairs whose S-polynomials other pairs already account for.
+Neither choice can show in a result: they decide only which raw basis is
+found, and its reduction is the unique reduced basis.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .errors import RingMismatch
 from .ring import Polynomial, RingContext
@@ -56,9 +66,17 @@ def _monomial_minimalize(ring, exponents):
     return kept
 
 
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def _spoly(f, g):
     lmf, lmg = f.lead_monomial(), g.lead_monomial()
-    lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
+    lcm = _lcm(lmf, lmg)
     p = f.ring.p
     sf = f.mul_term(
         tuple(a - b for a, b in zip(lcm, lmf)), pow(f.lead_coeff(), -1, p)
@@ -70,30 +88,73 @@ def _spoly(f, g):
 
 
 def _buchberger_raw(ring, gens):
-    basis = [g.monic() for g in gens]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    """A Groebner basis of the ideal generated by gens (not yet reduced).
 
-    def lcm_key(pair):
-        i, j = pair
-        lcm = tuple(
-            max(a, b)
-            for a, b in zip(basis[i].lead_monomial(), basis[j].lead_monomial())
-        )
-        return (ring.sort_key(lcm), i, j)
+    Pairs wait in a heap keyed (sort_key(lcm), i, j), computed once when the
+    pair is made: the normal selection strategy, smallest lcm first, with
+    index ties broken deterministically. Each element h, input or new,
+    passes through the Gebauer-Moeller update as it joins:
 
-    while pairs:
-        # normal selection strategy: smallest lcm first, deterministic ties
-        i, j = min(pairs, key=lcm_key)
-        pairs.discard((i, j))
-        lmi, lmj = basis[i].lead_monomial(), basis[j].lead_monomial()
-        if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)):
-            continue  # coprime leads: S-polynomial reduces to zero
-        h = normal_form(_spoly(basis[i], basis[j]), basis)
+      * criterion B drops a queued pair (i, j) when lead(h) divides its lcm
+        and lcm(i, h), lcm(j, h) both differ from it;
+      * criterion M drops a new pair (h, m) whose lcm is a proper multiple
+        of another new pair's lcm, and criterion F keeps only one new pair
+        of each lcm;
+      * the product criterion then drops the new pairs with coprime leads
+        (only after M and F, where they may cover other pairs);
+      * elements whose lead is a multiple of lead(h) leave the active set:
+        they make no more pairs and no longer serve as reducers, though
+        their queued pairs are still reduced.
+
+    Dropped pairs are deleted lazily: `live` holds the pending pairs, and a
+    popped heap entry that is no longer in it is skipped. The criteria skip
+    only S-polynomials that would reduce to zero against the final basis,
+    and the queue only orders the rest, so both change the raw basis but
+    not its reduction, which is unique: reduced_groebner_basis returns the
+    same basis, byte for byte, as with every pair reduced.
+    """
+    basis, leads = [], []  # every element ever added, its lead monomial
+    active = []  # indices of elements still generating pairs
+    live = {}  # pending pair (i, j), i > j -> lcm of their leads
+    queue = []  # heap of (sort_key(lcm), i, j), possibly with stale entries
+
+    def add(h):
+        k = len(basis)
+        lh = h.lead_monomial()
+        basis.append(h)
+        leads.append(lh)
+        for (i, j), lcm in list(live.items()):
+            if (
+                _divides(lh, lcm)
+                and _lcm(leads[i], lh) != lcm
+                and _lcm(leads[j], lh) != lcm
+            ):
+                del live[(i, j)]  # criterion B
+        # criteria M and F: a new pair survives unless a later candidate
+        # or an already kept one has an lcm dividing its own
+        fresh = [(_lcm(leads[m], lh), m) for m in active]
+        kept = []
+        for idx, (lcm, m) in enumerate(fresh):
+            coprime = all(a == 0 or b == 0 for a, b in zip(leads[m], lh))
+            rivals = fresh[idx + 1 :] + kept
+            if coprime or not any(_divides(r[0], lcm) for r in rivals):
+                kept.append((lcm, m, coprime))
+        for lcm, m, coprime in kept:
+            if not coprime:  # product criterion
+                live[(k, m)] = lcm
+                heapq.heappush(queue, (ring.sort_key(lcm), k, m))
+        active[:] = [m for m in active if not _divides(lh, leads[m])] + [k]
+
+    for g in gens:
+        add(g.monic())
+    while queue:
+        _, i, j = heapq.heappop(queue)
+        if live.pop((i, j), None) is None:
+            continue  # dropped by criterion B after it was queued
+        h = normal_form(_spoly(basis[i], basis[j]), [basis[m] for m in active])
         if h.terms:
-            basis.append(h.monic())
-            k = len(basis) - 1
-            pairs.update((k, m) for m in range(k))
-    return basis
+            add(h.monic())
+    return [basis[m] for m in active]
 
 
 def _reduce_basis(ring, basis):
@@ -158,9 +219,6 @@ class Ideal:
 
     def is_zero(self):
         return not self.gens
-
-    def is_monomial(self):
-        return all(len(g.terms) == 1 for g in self.canon())
 
     def fingerprint(self):
         return tuple(g.terms for g in self.canon())

@@ -162,9 +162,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, self.terms))
 
-    def is_constant(self):
-        return not self.terms or not any(self.terms[0][0])
-
     def is_unit(self):
         # nonzero constant
         return bool(self.terms) and not any(self.terms[0][0])
@@ -173,9 +170,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(e) for e, _ in self.terms)
-
-    def lead_term(self):
-        return self.terms[0]
 
     def lead_monomial(self):
         return self.terms[0][0]
@@ -189,9 +183,6 @@ class Polynomial:
             return self
         inv = pow(c, -1, self.ring.p)
         return self.ring.from_dict({e: d * inv for e, d in self.terms})
-
-    def coeff_dict(self):
-        return dict(self.terms)
 
     def __add__(self, other):
         _check_same_ring(self, other)

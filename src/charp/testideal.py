@@ -39,7 +39,7 @@ from .errors import (
 )
 from .ring import Polynomial, pow_base_p
 from .groebner import Ideal, ideal_equal, ideal_subset, scale_ideal, unit_ideal
-from .frobenius import frob_root, mixed_root
+from .frobenius import ROOT_POWER_LIMIT, frob_root, mixed_root
 
 CHAIN_STEP_LIMIT = 64
 
@@ -301,11 +301,25 @@ def _candidates_in_interval(p, lo: Fraction, hi: Fraction, a_max, s_max):
     return sorted(values)
 
 
+def _capped_depth(p: int, wanted: int, limit: int) -> int:
+    """wanted, or wanted - 1 where p^wanted is beyond limit.
+
+    Giving up a level widens the localizing cell p-fold. That only adds
+    candidates, and each is still certified, so the answer is unchanged.
+    Two levels would multiply every candidate family by p^2 (the cusp's
+    fpt then takes two minutes at p = 53), so the guard fires instead.
+    """
+    if p ** (wanted - 1) > limit:
+        raise ResourceLimit(f"p^e = {p}^{wanted - 1} exceeds {limit}")
+    return wanted if p**wanted <= limit else wanted - 1
+
+
 def fpt(f: Polynomial, e_max: int = 4, s_max: int = 4):
     """The F-pure threshold: smallest exponent with a proper test ideal.
 
     Localizes the threshold to a width p^(-e_ref) interval with e_ref =
     e_max + s_max (so each candidate family contributes O(1) candidates),
+    or one less where p^(e_max + s_max) is beyond ROOT_POWER_LIMIT,
     then certifies the unique candidate lambda with tau_left = (1) and
     tau != (1). Returns a JumpCertificate on success, else an FptInterval
     (honest uncertified localization).
@@ -313,7 +327,7 @@ def fpt(f: Polynomial, e_max: int = 4, s_max: int = 4):
     _require_nonzero(f)
     _require_nonunit(f)
     p = f.ring.p
-    e_ref = e_max + s_max
+    e_ref = _capped_depth(p, e_max + s_max, ROOT_POWER_LIMIT)
     located = nu(f, e_ref)
     lo = Fraction(located.nu, p**e_ref)
     hi = Fraction(located.nu + 1, p**e_ref)
@@ -337,7 +351,8 @@ def jumps_in_unit_interval(f: Polynomial, e_res: int, s_max: int = 4):
 
     Walks the monotone grid m -> (f^m)^[1/p^e_res] by divide-and-conquer
     (equal endpoint ideals certify a jump-free span), refines each dropping
-    cell to depth e_res + 2 + s_max, and certifies candidates inside. Any
+    cell to depth e_res + 2 + s_max (one less where that power of p is
+    beyond GRID_LIMIT), and certifies candidates inside. Any
     drop not explained by a certified candidate is emitted with status
     "candidate" rather than suppressed.
     """
@@ -348,7 +363,8 @@ def jumps_in_unit_interval(f: Polynomial, e_res: int, s_max: int = 4):
     if p**e_res > GRID_LIMIT:
         raise ResourceLimit(f"grid p^{e_res} exceeds {GRID_LIMIT}")
     a_max = e_res + 2
-    deep = a_max + s_max  # refinement depth for candidate localization
+    # refinement depth for candidate localization
+    deep = _capped_depth(p, a_max + s_max, GRID_LIMIT)
 
     cache = {}
 

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import charp.groebner as groebner_module
 from charp import (
     Ideal,
     RingMismatch,
@@ -156,3 +157,114 @@ def test_contains_every_generator(I):
     for g in I.gens:
         assert ideal_contains(I, g)
     assert all(ideal_contains(I, g) for g in buchberger(I))
+
+
+# --- textbook Buchberger: every pair reduced, no criteria -------------------
+# An oracle that shares nothing with charp.groebner but the polynomial type.
+
+
+def _textbook_divide(f, divisors):
+    ring, p = f.ring, f.ring.p
+    work, rem = dict(f.terms), {}
+    while work:
+        e = max(work, key=ring.sort_key)
+        c = work.pop(e)
+        for g in divisors:
+            lm, lc = g.terms[0]
+            if all(a >= b for a, b in zip(e, lm)):
+                q = c * pow(lc, -1, p) % p
+                shift = tuple(a - b for a, b in zip(e, lm))
+                for v, d in g.terms[1:]:
+                    w = tuple(a + b for a, b in zip(shift, v))
+                    work[w] = (work.get(w, 0) - q * d) % p
+                    if not work[w]:
+                        del work[w]
+                break
+        else:
+            rem[e] = c
+    return ring.from_dict(rem)
+
+
+def _textbook_spoly(f, g):
+    p = f.ring.p
+    (lf, cf), (lg, cg) = f.terms[0], g.terms[0]
+    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+    sf = f.ring.monomial([a - b for a, b in zip(lcm, lf)], pow(cf, -1, p))
+    sg = f.ring.monomial([a - b for a, b in zip(lcm, lg)], pow(cg, -1, p))
+    return sf * f - sg * g
+
+
+def textbook_reduced_basis(ring, gens):
+    basis = [g for g in gens if g.terms]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+
+    def lcm_degree(pair):
+        lf, lg = basis[pair[0]].terms[0][0], basis[pair[1]].terms[0][0]
+        return sum(max(a, b) for a, b in zip(lf, lg))
+
+    while pairs:
+        # lowest lcm degree first: the same pairs, in a cheaper order
+        i, j = pairs.pop(pairs.index(min(pairs, key=lcm_degree)))
+        h = _textbook_divide(_textbook_spoly(basis[i], basis[j]), basis)
+        if h.terms:
+            basis.append(h)
+            pairs.extend((len(basis) - 1, m) for m in range(len(basis) - 1))
+    basis = sorted((g.monic() for g in basis),
+                   key=lambda g: ring.sort_key(g.terms[0][0]))
+    minimal = []
+    for g in basis:
+        lm = g.terms[0][0]
+        if not any(all(a >= b for a, b in zip(lm, h.terms[0][0])) for h in minimal):
+            minimal.append(g)
+    reduced = [
+        _textbook_divide(g, minimal[:k] + minimal[k + 1:]).monic()
+        for k, g in enumerate(minimal)
+    ]
+    reduced.sort(key=lambda g: ring.sort_key(g.terms[0][0]), reverse=True)
+    return reduced
+
+
+@st.composite
+def small_ideals(draw):
+    nvars = draw(st.integers(2, 3))
+    ring = make_ring(draw(st.sampled_from([5, 7])), ["x", "y", "z"][:nvars])
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * nvars),
+                     st.integers(1, ring.p - 1))
+    gens = draw(st.lists(st.lists(term, min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    return Ideal(ring, [ring.from_dict(dict(terms)) for terms in gens])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_ideals())
+def test_buchberger_matches_textbook_oracle(I):
+    basis = buchberger(I)
+    assert basis == textbook_reduced_basis(I.ring, I.gens)
+    for f, g in itertools.combinations(basis, 2):
+        assert not normal_form(_textbook_spoly(f, g), basis).terms
+
+
+def test_pair_criteria_skip_redundant_pairs(monkeypatch):
+    # x*y+z, x*z+y, y*z+x gain three elements; the criteria leave 8 of the
+    # 15 pairs of the six to be reduced
+    gens = [parse_poly(R7, t) for t in ("x*y+z", "x*z+y", "y*z+x")]
+    spolys, added = [], []
+    real_spoly, real_normal_form = groebner_module._spoly, groebner_module.normal_form
+
+    def counting_spoly(f, g):
+        spolys.append((f, g))
+        return real_spoly(f, g)
+
+    def counting_normal_form(f, basis):
+        h = real_normal_form(f, basis)
+        if h.terms:
+            added.append(h)
+        return h
+
+    monkeypatch.setattr(groebner_module, "_spoly", counting_spoly)
+    monkeypatch.setattr(groebner_module, "normal_form", counting_normal_form)
+    raw = groebner_module._buchberger_raw(R7, gens)
+    n = len(gens) + len(added)
+    assert 0 < len(spolys) < n * (n - 1) // 2
+    monkeypatch.undo()
+    assert buchberger(Ideal(R7, raw)) == textbook_reduced_basis(R7, gens)

@@ -10,6 +10,7 @@ from charp import (
     GapClaim,
     Ideal,
     OutOfInterval,
+    ResourceLimit,
     UnitPolynomial,
     ZeroPolynomial,
     cartier_chain,
@@ -204,6 +205,35 @@ def test_jumps_quintic_small_primes(p, e_res, expected):
 def test_jumps_monomial_none_below_one():
     R = make_ring(3, ["x", "y"])
     assert jumps_in_unit_interval(parse_poly(R, "x"), 2) == []
+
+
+def cusp_fpt(p):
+    # the cusp x^2+y^3: 5/6 if p = 1 mod 6, 5/6 - 1/(6p) if p = 5 mod 6
+    return Fraction(5, 6) - (Fraction(1, 6 * p) if p % 6 == 5 else 0)
+
+
+@pytest.mark.parametrize("p", [37, 41])
+def test_fpt_cusp_where_full_depth_exceeds_root_guard(p):
+    # p^8 > 2^40, so the threshold is localized one level shallower
+    R = make_ring(p, ["x", "y"])
+    cert = fpt(parse_poly(R, "x^2+y^3"))
+    assert cert.status == "certified-jump"
+    assert cert.value == cusp_fpt(p)
+
+
+@pytest.mark.parametrize("p", [23, 29])
+def test_jumps_cusp_where_full_depth_exceeds_grid_guard(p):
+    # p^9 > 2^40: drops are refined one level shallower; the only jump
+    # in (0, 1) is the threshold
+    R = make_ring(p, ["x", "y"])
+    certs = jumps_in_unit_interval(parse_poly(R, "x^2+y^3"), 3)
+    assert [(c.value, c.status) for c in certs] == [(cusp_fpt(p), "certified-jump")]
+
+
+def test_fpt_guard_fires_two_levels_short():
+    R = make_ring(53, ["x", "y"])
+    with pytest.raises(ResourceLimit):
+        fpt(parse_poly(R, "x^2+y^3"))
 
 
 def test_transport_examples():
