@@ -8,7 +8,8 @@ JSON output is key-sorted with no timestamps, so repeated runs of the same
 job are byte identical.
 
 Exit codes: 0 success, 1 usage or parse error, 2 resource limit, 3 internal
-invariant violation.
+error: a violated invariant or any other unexpected exception, reported in
+one line without a traceback.
 """
 
 import argparse
@@ -554,14 +555,22 @@ def run(job: JobSpec, out=None, err=None) -> int:
             out.write(render_text(job.command, payload) + "\n")
         return 0
     except CharpError as exc:
-        err.write(f"charp: {exc}\n")
-        if job.fmt == "json":
-            out.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
+        _report_error(job, out, err, str(exc))
         if isinstance(exc, UsageError):
             return 1
         if isinstance(exc, ResourceLimit):
             return 2
         return 3
+    except Exception as exc:
+        # any other exception is a bug; repr keeps the report on one line
+        _report_error(job, out, err, f"internal error: {exc!r}")
+        return 3
+
+
+def _report_error(job, out, err, message):
+    err.write(f"charp: {message}\n")
+    if job.fmt == "json":
+        out.write(json.dumps({"error": message}, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,9 @@ coefficient polynomials.
 mixed_root(f, m, I, e) computes (f^m * I)^[1/p^e] without ever forming
 f^m: peeling one base-p digit r of m per root level keeps every
 intermediate polynomial degree at most deg(f) * (p-1) plus the largest
-generator degree. It is the workhorse behind every test-ideal chain.
+generator degree. Each digit power f^r comes from f.digit_power(r), so the
+p possible values are built once per polynomial and reused by every level
+of every root of it. It is the workhorse behind every test-ideal chain.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _root_one_generator(h: Polynomial, q: int):
     # happens here; sort classes for a deterministic generator list
     return [
         ring.from_dict(classes[res])
-        for res in sorted(classes, key=ring.sort_key, reverse=True)
+        for res in sorted(classes, key=ring.desc_key)
     ]
 
 
@@ -80,7 +82,7 @@ def mixed_root(f: Polynomial, m: int, I: Ideal, e: int) -> Ideal:
         # compress to the canonical basis: per-generator rooting multiplies
         # generator counts, and without minimalization the growth compounds
         # exponentially across levels
-        J = canonical_ideal(frob_root(scale_ideal(f**r, J), 1))
+        J = canonical_ideal(frob_root(scale_ideal(f.digit_power(r), J), 1))
     if m:
         J = scale_ideal(pow_base_p(f, m), J)
     return J

@@ -21,9 +21,15 @@ found, and its reduction is the unique reduced basis.
 from __future__ import annotations
 
 import heapq
+from operator import le
 
 from .errors import RingMismatch
 from .ring import Polynomial, RingContext
+
+
+def _divides(a, b):
+    """True iff the monomial x^a divides x^b."""
+    return all(map(le, a, b))
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -45,7 +51,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     while work.terms:
         e, c = work.terms[0]
         for lm, inv, g in leads:
-            if all(a >= b for a, b in zip(e, lm)):
+            if _divides(lm, e):
                 shift = tuple(a - b for a, b in zip(e, lm))
                 work = work - g.mul_term(shift, c * inv)
                 break
@@ -60,14 +66,10 @@ def _monomial_minimalize(ring, exponents):
     uniq = sorted(set(exponents), key=sum)
     kept = []
     for e in uniq:
-        if not any(all(a >= b for a, b in zip(e, k)) for k in kept):
+        if not any(_divides(k, e) for k in kept):
             kept.append(e)
-    kept.sort(key=ring.sort_key, reverse=True)
+    kept.sort(key=ring.desc_key)
     return kept
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _lcm(a, b):
@@ -164,15 +166,13 @@ def _reduce_basis(ring, basis):
     for idx, g in enumerate(basis):
         lm = g.lead_monomial()
         others = kept + basis[idx + 1 :]
-        if not any(
-            all(a >= b for a, b in zip(lm, h.lead_monomial())) for h in others
-        ):
+        if not any(_divides(h.lead_monomial(), lm) for h in others):
             kept.append(g)
     reduced = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
         reduced.append(normal_form(g, others).monic())
-    reduced.sort(key=lambda g: ring.sort_key(g.lead_monomial()), reverse=True)
+    reduced.sort(key=lambda g: ring.desc_key(g.lead_monomial()))
     return reduced
 
 

@@ -369,6 +369,11 @@ def jumps_in_unit_interval(f: Polynomial, e_res: int, s_max: int = 4):
     cache = {}
 
     def grid(m, depth):
+        # tau(f^(m*p/p^(e+1))) = tau(f^(m/p^e)): key on the reduced exponent
+        # so that sub-cell endpoints reuse the coarse grid; mixed_root needs
+        # a depth of at least 1
+        while depth > 1 and m % p == 0:
+            m, depth = m // p, depth - 1
         key = (m, depth)
         if key not in cache:
             cache[key] = tau_ppower(f, m, depth)

@@ -132,6 +132,26 @@ def test_internal_error_exit_3(monkeypatch):
     assert "invariant violated" in err.getvalue()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stray_exception_exit_3(monkeypatch, fmt):
+    import charp.cli as cli_mod
+
+    def boom(job):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setitem(cli_mod._RUNNERS, "hsl", boom)
+    out, err = io.StringIO(), io.StringIO()
+    job = job_from_args(build_parser().parse_args(
+        ["hsl", "-p", "7", *QUINTIC_ARGS, "--format", fmt]))
+    assert run(job, out, err) == 3
+    message = "internal error: RuntimeError('boom\\nsecond line')"
+    assert err.getvalue() == f"charp: {message}\n"
+    if fmt == "json":
+        assert json.loads(out.getvalue()) == {"error": message}
+    else:
+        assert out.getvalue() == ""
+
+
 def test_parse_rational_and_range_helpers():
     from fractions import Fraction
     assert parse_rational("48/49") == Fraction(48, 49)

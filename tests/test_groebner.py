@@ -268,3 +268,14 @@ def test_pair_criteria_skip_redundant_pairs(monkeypatch):
     assert 0 < len(spolys) < n * (n - 1) // 2
     monkeypatch.undo()
     assert buchberger(Ideal(R7, raw)) == textbook_reduced_basis(R7, gens)
+
+
+@pytest.mark.parametrize("a,b,expected", [
+    ((1, 2, 0), (1, 2, 0), True),   # equal
+    ((1, 0, 2), (3, 1, 2), True),   # proper divisor
+    ((0, 0, 0), (0, 4, 1), True),   # 1 divides everything
+    ((2, 1, 0), (1, 5, 5), False),  # one exponent too large
+    ((3, 1, 2), (1, 0, 2), False),  # the reverse direction
+])
+def test_divides(a, b, expected):
+    assert groebner_module._divides(a, b) is expected

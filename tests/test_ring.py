@@ -1,5 +1,7 @@
 """Ring construction, parsing, printing, and exact polynomial arithmetic."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -198,3 +200,55 @@ def test_frob_power_matches_direct_power(data, e):
 def test_pow_base_p_matches_direct_power(data, m):
     R, (f,) = data
     assert pow_base_p(f, m) == poly_pow(f, m)
+
+
+@st.composite
+def ring_and_exponents(draw):
+    nvars = draw(st.integers(1, 4))
+    order = draw(st.sampled_from(["grevlex", "lex"]))
+    R = make_ring(5, ["x", "y", "z", "w"][:nvars], order=order)
+    monomials = st.tuples(*[st.integers(0, 5)] * nvars)
+    return R, draw(st.lists(monomials, max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_and_exponents())
+def test_desc_key_sorts_like_reversed_sort_key(data):
+    R, exponents = data
+    assert sorted(exponents, key=R.desc_key) == sorted(
+        exponents, key=R.sort_key, reverse=True
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_digit_power_matches_direct_power(p):
+    R = make_ring(p, ["x", "y", "z"])
+    f = parse_poly(R, "x^2 + 3*x*y + z + 1")
+    # ask out of order so that the memo grows more than once
+    for r in [1, 0, p - 1] + list(range(p)):
+        assert f.digit_power(r).terms == (f**r).terms
+
+
+@pytest.mark.parametrize("r", [-1, 5])
+def test_digit_power_rejects_non_digits(r):
+    f = parse_poly(make_ring(5, ["x"]), "x+1")
+    with pytest.raises(ValueError):
+        f.digit_power(r)
+
+
+def test_digit_power_memo_is_invisible():
+    R = make_ring(7, ["x", "y"])
+    f, g = parse_poly(R, "x^3 + y"), parse_poly(R, "x^3 + y")
+    f.digit_power(6)
+    assert f == g and hash(f) == hash(g) and f.terms == g.terms
+    assert {f: 1}[g] == 1
+
+
+def test_ring_and_memoized_polynomial_pickle():
+    R = make_ring(5, ["x", "y"], order="lex")
+    assert pickle.loads(pickle.dumps(R)) == R
+    f = parse_poly(R, "x*y + y^2 + 2")
+    f.digit_power(4)
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and g.ring.order == "lex"
+    assert g.digit_power(4) == f**4

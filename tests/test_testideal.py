@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+import charp.testideal as testideal_module
 from charp import (
     FptInterval,
     GapClaim,
@@ -205,6 +207,51 @@ def test_jumps_quintic_small_primes(p, e_res, expected):
 def test_jumps_monomial_none_below_one():
     R = make_ring(3, ["x", "y"])
     assert jumps_in_unit_interval(parse_poly(R, "x"), 2) == []
+
+
+def test_jumps_grid_reuses_coarse_cells(monkeypatch):
+    # a sub-cell endpoint m*p^k/p^(e+k) keys the grid as m/p^e, so the
+    # refinement walk probes fewer test ideals; keyed on (m, depth) as
+    # given, this walk made 59 tau_ppower calls
+    calls = []
+    real = testideal_module.tau_ppower
+
+    def counted(f, m, e):
+        calls.append((m, e))
+        return real(f, m, e)
+
+    monkeypatch.setattr(testideal_module, "tau_ppower", counted)
+    R = make_ring(3, ["x", "y", "z"])
+    certs = jumps_in_unit_interval(parse_poly(R, "x^5+y^5+z^5"), 2)
+    assert [(str(c.value), c.status) for c in certs] == [
+        ("1/3", "certified-jump"),
+        ("2/3", "certified-jump"),
+        ("8/9", "certified-jump"),
+    ]
+    assert len(calls) < 59
+
+
+def cubic_hasse_invariant(p):
+    # coefficient of (xyz)^(p-1) in (x^3+y^3+z^3+xyz)^(p-1) mod p: the
+    # multinomial terms x^(3a+d) y^(3b+d) z^(3c+d) reach it only for
+    # a = b = c and d = p-1-3a
+    return sum(
+        factorial(p - 1) // (factorial(a) ** 3 * factorial(p - 1 - 3 * a))
+        for a in range((p - 1) // 3 + 1)
+    ) % p
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_fpt_nondiagonal_cubic_matches_hasse_invariant(p):
+    # the smooth plane cubic x^3+y^3+z^3+xyz (p not 2 or 7) has fpt 1 when
+    # it is ordinary (Hasse invariant nonzero) and 1 - 1/p otherwise
+    # (Bhatt-Singh, "The F-pure threshold of a Calabi-Yau hypersurface",
+    # Math. Ann. 2015)
+    expected = 1 if cubic_hasse_invariant(p) else 1 - Fraction(1, p)
+    R = make_ring(p, ["x", "y", "z"])
+    cert = fpt(parse_poly(R, "x^3+y^3+z^3+x*y*z"))
+    assert cert.status == "certified-jump"
+    assert cert.value == expected
 
 
 def cusp_fpt(p):
