@@ -11,14 +11,15 @@ mixed_root(f, m, I, e) computes (f^m * I)^[1/p^e] without ever forming
 f^m: peeling one base-p digit r of m per root level keeps every
 intermediate polynomial degree at most deg(f) * (p-1) plus the largest
 generator degree. Each digit power f^r comes from f.digit_power(r), so the
-p possible values are built once per polynomial and reused by every level
-of every root of it. It is the workhorse behind every test-ideal chain.
+p possible values are built once per outermost call (see
+per_call_digit_powers in ring.py) and reused by every level of every root
+taken within it. It is the workhorse behind every test-ideal chain.
 """
 
 from __future__ import annotations
 
 from .errors import ResourceLimit, RingMismatch
-from .ring import Polynomial, frob_power, pow_base_p
+from .ring import Polynomial, frob_power, per_call_digit_powers, pow_base_p
 from .groebner import Ideal, canonical_ideal, scale_ideal
 
 # guard on p^e: exponent components beyond this indicate a runaway input
@@ -63,6 +64,7 @@ def frob_root(b: Ideal, e: int) -> Ideal:
     return Ideal(b.ring, gens)
 
 
+@per_call_digit_powers
 def mixed_root(f: Polynomial, m: int, I: Ideal, e: int) -> Ideal:
     """(f^m * I)^[1/p^e] by digit-peeling.
 

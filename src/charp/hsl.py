@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ResourceLimit, ZeroPolynomial
-from .ring import Polynomial
+from .ring import Polynomial, per_call_digit_powers
 from .groebner import Ideal, ideal_equal, unit_ideal
 from .frobenius import mixed_root
 
@@ -25,11 +25,13 @@ class HslReport:
     stabilized: Ideal
 
 
+@per_call_digit_powers
 def cartier_step(f: Polynomial, I: Ideal) -> Ideal:
     """(f^(p-1) * I)^[1/p], one level of the Frobenius iteration."""
     return mixed_root(f, f.ring.p - 1, I, 1)
 
 
+@per_call_digit_powers
 def hsl_number(f: Polynomial, l_max: int = 64) -> HslReport:
     """Smallest l >= 1 with chain entry l+1 equal to entry l.
 

@@ -10,10 +10,16 @@ All values behave as immutable; every operation is a pure function. Besides
 its terms, a Polynomial carries one piece of state: the memo behind
 digit_power, the powers f^0, ..., f^r for base-p digits r < p, grown on
 demand. It is a pure cache that never shows through ==, hash or terms, and
-it lives as long as f does. It holds at most the terms of f^0, ..., f^(p-1),
+pickling leaves it out. It holds at most the terms of f^0, ..., f^(p-1),
 each f^r at most C(n + r*deg f, n) of them in n variables: for
 x^4+x*y^3+y^2*z^2+z^5 that is 7,315 terms (1 MiB) at p = 19, but 230,300
 terms (28 MiB, 13 s to build) at p = 47.
+
+The functions that use the memo are decorated with per_call_digit_powers:
+the outermost such call works on a fresh copy of f, which every call nested
+in it shares and which is dropped when it returns. A computation thus
+builds each f^r once, the caller's f never holds a memo, and charp keeps no
+state between calls. Only a direct f.digit_power(r) fills f's own memo.
 
 Exponents and coefficients are arbitrary-precision ints throughout:
 Frobenius powers multiply exponents by p^e, which overflows any fixed width
@@ -22,7 +28,9 @@ during scans.
 
 from __future__ import annotations
 
+import functools
 import re
+from contextvars import ContextVar
 from operator import neg
 
 from .errors import (
@@ -185,6 +193,10 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, self.terms))
 
+    def __reduce__(self):
+        # the digit-power memo is a cache: pickle the value alone
+        return (Polynomial, (self.ring, self.terms))
+
     def is_unit(self):
         # nonzero constant
         return bool(self.terms) and not any(self.terms[0][0])
@@ -316,6 +328,31 @@ def frob_power(f: Polynomial, e: int) -> Polynomial:
     return Polynomial(f.ring, terms)
 
 
+# true while a per_call_digit_powers call runs in this context
+_IN_CALL = ContextVar("charp_in_call", default=False)
+
+
+def per_call_digit_powers(fn):
+    """Run fn(f, ...) on a copy of f whose digit-power memo lasts one call.
+
+    Only the outermost decorated call copies f; the calls nested in it get
+    that copy and share its memo.
+    """
+
+    @functools.wraps(fn)
+    def call(f, *args, **kwargs):
+        if _IN_CALL.get():
+            return fn(f, *args, **kwargs)
+        token = _IN_CALL.set(True)
+        try:
+            return fn(Polynomial(f.ring, f.terms), *args, **kwargs)
+        finally:
+            _IN_CALL.reset(token)
+
+    return call
+
+
+@per_call_digit_powers
 def pow_base_p(f: Polynomial, m: int) -> Polynomial:
     """f^m via the base-p digits of m: f^m = prod_j (f^(d_j))^(p^j)."""
     if m < 0:

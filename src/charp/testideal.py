@@ -37,7 +37,7 @@ from .errors import (
     UnitPolynomial,
     ZeroPolynomial,
 )
-from .ring import Polynomial, pow_base_p
+from .ring import Polynomial, per_call_digit_powers, pow_base_p
 from .groebner import Ideal, ideal_equal, ideal_subset, scale_ideal, unit_ideal
 from .frobenius import ROOT_POWER_LIMIT, frob_root, mixed_root
 
@@ -127,6 +127,7 @@ def _require_nonunit(f: Polynomial):
         raise UnitPolynomial("constant polynomial is F-regular everywhere")
 
 
+@per_call_digit_powers
 def cartier_chain(f: Polynomial, r: int, s: int, seed: Ideal) -> Ideal:
     """Iterate J -> (f^r * J)^[1/p^s] from seed until it stops moving.
 
@@ -149,6 +150,7 @@ def cartier_chain(f: Polynomial, r: int, s: int, seed: Ideal) -> Ideal:
     raise ResourceLimit(f"chain did not stabilize within {CHAIN_STEP_LIMIT} steps")
 
 
+@per_call_digit_powers
 def tau_ppower(f: Polynomial, m: int, e: int) -> Ideal:
     """tau(f^(m/p^e)) = (f^m)^[1/p^e], exactly."""
     _require_nonzero(f)
@@ -177,6 +179,7 @@ def _split_integer_part(lam: Fraction, half_open_high: bool):
     return k, theta
 
 
+@per_call_digit_powers
 def tau(f: Polynomial, lam) -> Ideal:
     """The test ideal of f at exponent lam >= 0."""
     lam = Fraction(lam)
@@ -213,6 +216,7 @@ def _tau_unit_interval(f: Polynomial, lam: Fraction) -> Ideal:
     return mixed_root(f, k, inner, form.a)
 
 
+@per_call_digit_powers
 def tau_left(f: Polynomial, lam) -> Ideal:
     """The common value of tau(f^mu) for mu < lam sufficiently close."""
     lam = Fraction(lam)
@@ -244,6 +248,7 @@ def _tau_left_unit_interval(f: Polynomial, lam: Fraction) -> Ideal:
     return frob_root(inner, form.a) if form.a else inner
 
 
+@per_call_digit_powers
 def is_fjumping(f: Polynomial, lam) -> JumpCertificate:
     lam = Fraction(lam)
     _require_nonzero(f)
@@ -267,6 +272,7 @@ def is_fjumping(f: Polynomial, lam) -> JumpCertificate:
     return JumpCertificate(value=lam, tau_at=at, tau_left=left, status=status)
 
 
+@per_call_digit_powers
 def nu(f: Polynomial, e: int) -> NuValue:
     """Largest m with (f^m)^[1/p^e] = (1).
 
@@ -314,6 +320,7 @@ def _capped_depth(p: int, wanted: int, limit: int) -> int:
     return wanted if p**wanted <= limit else wanted - 1
 
 
+@per_call_digit_powers
 def fpt(f: Polynomial, e_max: int = 4, s_max: int = 4):
     """The F-pure threshold: smallest exponent with a proper test ideal.
 
@@ -346,6 +353,7 @@ def fpt(f: Polynomial, e_max: int = 4, s_max: int = 4):
 GRID_LIMIT = 2**40
 
 
+@per_call_digit_powers
 def jumps_in_unit_interval(f: Polynomial, e_res: int, s_max: int = 4):
     """Certified F-jumping numbers of f in the open interval (0, 1).
 

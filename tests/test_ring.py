@@ -251,4 +251,5 @@ def test_ring_and_memoized_polynomial_pickle():
     f.digit_power(4)
     g = pickle.loads(pickle.dumps(f))
     assert g == f and g.ring.order == "lex"
+    assert g._digit_powers is None  # the memo is a cache, not pickled state
     assert g.digit_power(4) == f**4

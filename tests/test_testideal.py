@@ -12,6 +12,7 @@ from charp import (
     GapClaim,
     Ideal,
     OutOfInterval,
+    Polynomial,
     ResourceLimit,
     UnitPolynomial,
     ZeroPolynomial,
@@ -229,6 +230,35 @@ def test_jumps_grid_reuses_coarse_cells(monkeypatch):
         ("8/9", "certified-jump"),
     ]
     assert len(calls) < 59
+
+
+def test_calls_keep_no_digit_power_memo(monkeypatch):
+    # the outermost call works on a private copy of f whose memo every
+    # nested call shares, so a repeated call does the same work and the
+    # caller's f never holds a memo
+    products, owners = [], set()
+    real_mul, real_digit_power = Polynomial.__mul__, Polynomial.digit_power
+
+    def mul(a, b):
+        products.append(1)
+        return real_mul(a, b)
+
+    def digit_power(g, r):
+        owners.add(id(g))
+        return real_digit_power(g, r)
+
+    monkeypatch.setattr(Polynomial, "__mul__", mul)
+    monkeypatch.setattr(Polynomial, "digit_power", digit_power)
+    f = parse_poly(make_ring(5, ["x", "y"]), "x^3+y^2")
+    counts = []
+    for _ in range(2):
+        products.clear()
+        owners.clear()
+        assert fpt(f).value == Fraction(4, 5)
+        counts.append(len(products))
+        assert len(owners) == 1 and id(f) not in owners
+        assert f._digit_powers is None
+    assert counts[0] == counts[1]
 
 
 def cubic_hasse_invariant(p):
