@@ -1,10 +1,11 @@
 """Batch scans: one invariant, many primes, machine-readable output.
 
 The `charp scan` subcommand sweeps a prime range and emits one CSV row
-per (prime, invariant) pair. This drives it in-process three times:
-a threshold sweep, a stabilization sweep, and a full jump listing.
-Rows arrive in ascending prime order and reruns are byte-identical,
-so the output diffs cleanly across code or parameter changes.
+per (prime, invariant) pair. This drives it in-process twice: a
+threshold and stabilization sweep, and a full jump listing. Rows arrive
+in ascending prime order, and reruns agree byte for byte except in the
+`wall_ms` column, the measured time of each row; drop that column before
+diffing output across code or parameter changes.
 """
 
 from charp.cli import main as charp_main

@@ -3,7 +3,9 @@
 Subcommands map onto the library API: `root` and `tau` print ideals; `fpt`,
 `jumps`, and `hsl` print invariant reports; `lucas` answers binomial residue
 queries; `scan` sweeps a prime range and streams one record per prime and
-requested invariant.  Rationals travel as "num/den" strings end to end, and
+requested invariant.  Each subcommand is one entry of `COMMANDS`: its flags,
+its computation, its text rendering and, for the invariants `scan` can
+report, its scan row.  Rationals travel as "num/den" strings end to end, and
 JSON output is key-sorted with no timestamps, so repeated runs of the same
 job are byte identical.
 
@@ -22,8 +24,9 @@ import random
 import signal
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CharpError, ResourceLimit, UsageError
 from .frobenius import mixed_root
@@ -36,7 +39,6 @@ from .testideal import FptInterval, fpt, jumps_in_unit_interval, tau
 CACHE_VERSION = "1"
 AUDIT_RATE = 0.05
 DEFAULT_TIMEOUT_SECS = 300
-SCAN_REPORTS = ("fpt", "hsl", "jumps")
 
 
 @dataclass
@@ -46,16 +48,15 @@ class JobSpec:
     command: str
     prime: int = 0
     vars: tuple = ()
-    poly_text: str = ""
+    poly: str = ""
     lam: Fraction = None
     m: int = 1
     n: int = 0
     e: int = 1
     resolution_e: int = 3
     s_max: int = 4
-    depth: int = 0
-    primes_lo: int = 0
-    primes_hi: int = -1
+    depth: int = 4
+    primes: tuple = (0, -1)
     report: tuple = ("fpt",)
     fmt: str = "text"
     cache_dir: str = None
@@ -85,6 +86,18 @@ def parse_prime_range(text: str):
         return int(lo), int(hi)
     except ValueError:
         raise UsageError(f"prime range bounds must be integers, got {text!r}") from None
+
+
+def parse_reports(text: str):
+    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not names:
+        raise UsageError("empty --report list")
+    for name in names:
+        if name not in SCAN_REPORTS:
+            raise UsageError(
+                f"unknown report {name!r}; choose from {', '.join(SCAN_REPORTS)}"
+            )
+    return names
 
 
 def ideal_payload(I) -> dict:
@@ -174,67 +187,110 @@ def cached_compute(job, ring, f, op, params, compute):
 
 
 # ---------------------------------------------------------------------------
-# single-command execution
+# the command table: every flag is declared once, and each subcommand lists
+# the flags it takes
 
 
-def _build_input(job):
-    ring = make_ring(job.prime, list(job.vars))
-    f = parse_poly(ring, job.poly_text)
-    return ring, f
+class Flag(NamedTuple):
+    """One command-line flag and the JobSpec field it fills.
+
+    `type` turns the text into a value and may raise UsageError; a value
+    below `minimum` (0 or 1) is rejected.  A flag with a `key` parametrizes
+    a computation: the value goes into its cache key under that name.  A
+    callable default is read when the parser is built.
+    """
+
+    names: tuple
+    dest: str
+    help: str
+    type: object = int
+    default: object = None
+    required: bool = False
+    choices: tuple = None
+    minimum: int = None
+    key: str = None
+
+    def add_to(self, parser):
+        default = self.default() if callable(self.default) else self.default
+        help = self.help if default is None else f"{self.help} (default {default})"
+        parser.add_argument(
+            *self.names, dest=self.dest, type=self.type, default=default,
+            required=self.required, choices=self.choices, help=help,
+        )
+
+    def checked(self, value):
+        if self.minimum is not None and value < self.minimum:
+            rule = "positive" if self.minimum else "non-negative"
+            raise UsageError(f"{self.names[-1]} must be {rule}")
+        return value
 
 
-def run_root(job):
-    ring, f = _build_input(job)
-    return cached_compute(
-        job, ring, f, "root", {"m": job.m, "e": job.e},
-        lambda: ideal_payload(mixed_root(f, job.m, unit_ideal(ring), job.e)),
-    )
+PRIME = Flag(("-p", "--prime"), "prime", "prime characteristic", required=True)
+VARS = Flag(("--vars",), "vars", "comma-separated variable names, e.g. x,y,z",
+            type=parse_vars, required=True)
+POLY = Flag(("-f", "--poly"), "poly", "polynomial, e.g. 'x^5+y^5+z^5'",
+            type=str, required=True)
+FORMAT = Flag(("--format",), "fmt", "output format", type=str, default="text",
+              choices=("text", "json"))
+CACHE_DIR = Flag(("--cache-dir",), "cache_dir", "result cache directory", type=str,
+                 default=lambda: os.environ.get("CHARP_CACHE_DIR"))
+POWER = Flag(("-m",), "m", "power of f", default=1, minimum=0, key="m")
+ROOT_DEPTH = Flag(("-e",), "e", "root depth", default=1, minimum=1, key="e")
+LAMBDA = Flag(("--lambda",), "lam", "exponent as num/den, e.g. 48/49",
+              type=parse_rational, required=True, minimum=0, key="lambda")
+DEPTH = Flag(("--depth",), "depth", "p-power search depth of fpt", default=4,
+             minimum=1, key="depth")
+S_MAX = Flag(("--s-max",), "s_max", "largest cyclic period tried", default=4,
+             minimum=1, key="sMax")
+RESOLUTION_E = Flag(("--resolution-e",), "resolution_e", "grid resolution exponent",
+                    default=3, minimum=1, key="resolutionE")
+TOP = Flag(("-m",), "m", "top index", required=True, minimum=0)
+BOTTOM = Flag(("-n",), "n", "bottom index", required=True, minimum=0)
+PRIMES = Flag(("--primes",), "primes", "inclusive range, e.g. 2..19",
+              type=parse_prime_range, required=True)
+REPORTS = Flag(("--report",), "report", "comma-separated invariants, e.g. fpt,hsl",
+               type=parse_reports, default="fpt")
+SCAN_FORMAT = Flag(("--format",), "fmt", "output format", type=str, default="csv",
+                   choices=("csv", "json"))
+TIMEOUT = Flag(("--timeout-secs",), "timeout_secs", "per-prime budget",
+               default=DEFAULT_TIMEOUT_SECS, minimum=1)
+THREADS = Flag(("--threads",), "threads", "worker processes", default=1, minimum=1)
 
 
-def run_tau(job):
-    ring, f = _build_input(job)
-    return cached_compute(
-        job, ring, f, "tau", {"lambda": str(job.lam)},
-        lambda: ideal_payload(tau(f, job.lam)),
-    )
+class Command(NamedTuple):
+    """One subcommand: its flags, compute(ring, f, job) -> JSON-able payload,
+    text(payload) -> its text output, and for the invariants `scan` reports,
+    scan(payload) -> (value, status) of its row."""
+
+    help: str
+    flags: tuple
+    compute: object = None
+    text: object = None
+    scan: object = None
 
 
-def run_fpt(job):
-    ring, f = _build_input(job)
-    depth = job.depth or 4
-
-    def compute():
-        result = fpt(f, e_max=depth, s_max=job.s_max)
-        if isinstance(result, FptInterval):
-            return {"lo": str(result.lo), "hi": str(result.hi), "status": "interval"}
-        payload = certificate_payload(result)
-        payload["status"] = "certified"
-        return payload
-
-    return cached_compute(
-        job, ring, f, "fpt", {"depth": depth, "sMax": job.s_max}, compute
-    )
+def _fpt_payload(ring, f, job):
+    result = fpt(f, e_max=job.depth, s_max=job.s_max)
+    if isinstance(result, FptInterval):
+        return {"lo": str(result.lo), "hi": str(result.hi), "status": "interval"}
+    return {**certificate_payload(result), "status": "certified"}
 
 
-def run_jumps(job):
-    ring, f = _build_input(job)
-    return cached_compute(
-        job, ring, f, "jumps",
-        {"resolutionE": job.resolution_e, "sMax": job.s_max},
-        lambda: [
-            certificate_payload(c)
-            for c in jumps_in_unit_interval(f, job.resolution_e, s_max=job.s_max)
-        ],
-    )
+def _fpt_text(payload):
+    if payload["status"] == "interval":
+        return f"({payload['lo']}, {payload['hi']}] interval"
+    return f"{payload['value']} certified"
 
 
-def run_hsl(job):
-    ring, f = _build_input(job)
-    depth = job.depth or 64
-    return cached_compute(
-        job, ring, f, "hsl", {"depth": depth},
-        lambda: _hsl_payload(hsl_number(f, l_max=depth)),
-    )
+def _fpt_row(payload):
+    if payload["status"] == "interval":
+        return f"{payload['lo']}..{payload['hi']}", "interval"
+    return payload["value"], "certified"
+
+
+def _jumps_row(certs):
+    certified = all(c["status"] == "certified-jump" for c in certs)
+    return ";".join(c["value"] for c in certs), "certified" if certified else "candidate"
 
 
 def _hsl_payload(report):
@@ -245,39 +301,76 @@ def _hsl_payload(report):
     }
 
 
-def run_lucas(job):
+def _lucas_payload(ring, f, job):
     if not is_prime(job.prime):
         raise UsageError(f"{job.prime} is not prime")
-    if job.m < 0 or job.n < 0:
-        raise UsageError("binomial arguments must be non-negative")
     residue = binom_mod_p(job.m, job.n, job.prime)
     return {"residue": residue, "nonzero": residue != 0}
 
 
-def render_text(command, payload) -> str:
-    if command in ("root", "tau"):
-        return render_ideal_text(payload)
-    if command == "fpt":
-        if payload["status"] == "interval":
-            return f"({payload['lo']}, {payload['hi']}] interval"
-        return f"{payload['value']} certified"
-    if command == "jumps":
-        return "\n".join(f"{c['value']} {c['status']}" for c in payload)
-    if command == "hsl":
-        return str(payload["hsl"])
-    if command == "lucas":
-        return str(payload["residue"])
-    raise CharpError(f"no text renderer for {command}")
+INPUT = (PRIME, VARS, POLY)
+OUTPUT = (FORMAT, CACHE_DIR)
 
-
-_RUNNERS = {
-    "root": run_root,
-    "tau": run_tau,
-    "fpt": run_fpt,
-    "jumps": run_jumps,
-    "hsl": run_hsl,
-    "lucas": run_lucas,
+COMMANDS = {
+    "root": Command(
+        "Frobenius root of a power of f", (*INPUT, POWER, ROOT_DEPTH, *OUTPUT),
+        lambda ring, f, job: ideal_payload(mixed_root(f, job.m, unit_ideal(ring), job.e)),
+        render_ideal_text,
+    ),
+    "tau": Command(
+        "test ideal of f at a rational exponent", (*INPUT, LAMBDA, *OUTPUT),
+        lambda ring, f, job: ideal_payload(tau(f, job.lam)),
+        render_ideal_text,
+    ),
+    "fpt": Command(
+        "F-pure threshold of f", (*INPUT, DEPTH, S_MAX, *OUTPUT),
+        _fpt_payload, _fpt_text, _fpt_row,
+    ),
+    "hsl": Command(
+        "Frobenius kernel stabilization index of f", (*INPUT, *OUTPUT),
+        lambda ring, f, job: _hsl_payload(hsl_number(f)),
+        lambda payload: str(payload["hsl"]),
+        lambda payload: (str(payload["hsl"]), "ok"),
+    ),
+    "jumps": Command(
+        "F-jumping numbers of f in (0, 1]", (*INPUT, RESOLUTION_E, S_MAX, *OUTPUT),
+        lambda ring, f, job: [
+            certificate_payload(c)
+            for c in jumps_in_unit_interval(f, job.resolution_e, s_max=job.s_max)
+        ],
+        lambda certs: "\n".join(f"{c['value']} {c['status']}" for c in certs),
+        _jumps_row,
+    ),
+    "lucas": Command(
+        "binomial coefficient residue mod p", (PRIME, TOP, BOTTOM, FORMAT),
+        _lucas_payload,
+        lambda payload: str(payload["residue"]),
+    ),
 }
+SCAN_REPORTS = tuple(name for name, command in COMMANDS.items() if command.scan)
+# scan takes every flag that parametrizes one of its reports
+_REPORT_FLAGS = dict.fromkeys(
+    fl for name in SCAN_REPORTS for fl in COMMANDS[name].flags if fl.key
+)
+COMMANDS["scan"] = Command(
+    "sweep invariants of f over a prime range",
+    (PRIMES, VARS, POLY, REPORTS, *_REPORT_FLAGS, SCAN_FORMAT, CACHE_DIR, TIMEOUT, THREADS),
+)
+
+
+def _payload(name, job):
+    """Payload of subcommand `name` for job, through the cache; lucas reads
+    no polynomial and caches nothing."""
+    command = COMMANDS[name]
+    if POLY not in command.flags:
+        return command.compute(None, None, job)
+    ring = make_ring(job.prime, list(job.vars))
+    f = parse_poly(ring, job.poly)
+    values = ((fl.key, getattr(job, fl.dest)) for fl in command.flags if fl.key)
+    params = {key: str(v) if isinstance(v, Fraction) else v for key, v in values}
+    return cached_compute(
+        job, ring, f, name, params, lambda: command.compute(ring, f, job)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +386,13 @@ def _alarm_handler(signum, frame):
     raise PrimeTimeout()
 
 
-def scan_prime(args):
-    """Compute all requested invariants of f mod p; never raises.
+def scan_prime(job):
+    """Compute all requested invariants of f mod job.prime; never raises.
 
     Returns a list of row dicts (one per invariant).  A timeout or failure
     becomes a status on the affected rows so the scan keeps going.
     """
-    prime, vars, poly_text, reports, job = args
+    prime, reports = job.prime, job.report
     rows = []
     old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
     signal.alarm(job.timeout_secs)
@@ -307,22 +400,18 @@ def scan_prime(args):
         for idx, name in enumerate(reports):
             t0 = time.monotonic()
             try:
-                value, status = _scan_one(prime, vars, poly_text, name, job)
+                value, status = COMMANDS[name].scan(_payload(name, job))
             except PrimeTimeout:
-                wall = int((time.monotonic() - t0) * 1000)
-                rows.append(_scan_row(prime, name, "", "timeout", wall))
-                for rest in reports[idx + 1:]:
-                    rows.append(_scan_row(prime, rest, "", "timeout", 0))
-                break
+                value, status = "", "timeout"
             except ResourceLimit as exc:
-                wall = int((time.monotonic() - t0) * 1000)
-                rows.append(_scan_row(prime, name, "", f"resource-limit: {exc}", wall))
+                value, status = "", f"resource-limit: {exc}"
             except Exception as exc:
-                wall = int((time.monotonic() - t0) * 1000)
-                rows.append(_scan_row(prime, name, "", f"error: {exc}", wall))
-            else:
-                wall = int((time.monotonic() - t0) * 1000)
-                rows.append(_scan_row(prime, name, value, status, wall))
+                value, status = "", f"error: {exc}"
+            wall = int((time.monotonic() - t0) * 1000)
+            rows.append(_scan_row(prime, name, value, status, wall))
+            if status == "timeout":
+                rows += [_scan_row(prime, r, "", "timeout", 0) for r in reports[idx + 1:]]
+                break
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old_handler)
@@ -339,38 +428,9 @@ def _scan_row(prime, invariant, value, status, wall_ms):
     }
 
 
-def _scan_one(prime, vars, poly_text, name, job):
-    sub = JobSpec(
-        command=name,
-        prime=prime,
-        vars=vars,
-        poly_text=poly_text,
-        resolution_e=job.resolution_e,
-        s_max=job.s_max,
-        depth=job.depth,
-        cache_dir=job.cache_dir,
-    )
-    payload = _RUNNERS[name](sub)
-    if name == "fpt":
-        if payload["status"] == "interval":
-            return f"{payload['lo']}..{payload['hi']}", "interval"
-        return payload["value"], "certified"
-    if name == "hsl":
-        return str(payload["hsl"]), "ok"
-    if name == "jumps":
-        statuses = {c["status"] for c in payload}
-        status = "certified" if statuses <= {"certified-jump"} else "candidate"
-        return ";".join(c["value"] for c in payload), status
-    raise CharpError(f"no scan extractor for {name}")
-
-
 def run_scan(job, out) -> int:
-    for name in job.report:
-        if name not in SCAN_REPORTS:
-            raise UsageError(
-                f"unknown report {name!r}; choose from {', '.join(SCAN_REPORTS)}"
-            )
-    primes = [q for q in range(max(job.primes_lo, 2), job.primes_hi + 1) if is_prime(q)]
+    lo, hi = job.primes
+    primes = [q for q in range(max(lo, 2), hi + 1) if is_prime(q)]
     if not primes:
         return 0
 
@@ -381,7 +441,7 @@ def run_scan(job, out) -> int:
         )
         writer.writeheader()
 
-    tasks = [(q, job.vars, job.poly_text, job.report, job) for q in primes]
+    tasks = [replace(job, prime=q) for q in primes]
     if job.threads > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(job.threads) as pool:
@@ -422,123 +482,19 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     top = _Parser(prog="charp", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add_ring_flags(p):
-        p.add_argument("-p", "--prime", type=int, required=True,
-                       help="prime characteristic")
-        p.add_argument("--vars", required=True,
-                       help="comma-separated variable names, e.g. x,y,z")
-        p.add_argument("-f", "--poly", required=True,
-                       help="polynomial, e.g. 'x^5+y^5+z^5'")
-
-    def add_output_flags(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--cache-dir", default=os.environ.get("CHARP_CACHE_DIR"))
-
-    p = sub.add_parser("root", help="Frobenius root of a power of f")
-    add_ring_flags(p)
-    p.add_argument("-m", type=int, default=1, help="power of f (default 1)")
-    p.add_argument("-e", type=int, default=1, help="root depth (default 1)")
-    add_output_flags(p)
-
-    p = sub.add_parser("tau", help="test ideal of f at a rational exponent")
-    add_ring_flags(p)
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="exponent as num/den, e.g. 48/49")
-    add_output_flags(p)
-
-    p = sub.add_parser("fpt", help="F-pure threshold of f")
-    add_ring_flags(p)
-    p.add_argument("--depth", type=int, default=4,
-                   help="p-power search depth (default 4)")
-    p.add_argument("--s-max", type=int, default=4,
-                   help="largest cyclic period tried (default 4)")
-    add_output_flags(p)
-
-    p = sub.add_parser("jumps", help="F-jumping numbers of f in (0, 1]")
-    add_ring_flags(p)
-    p.add_argument("--resolution-e", type=int, default=3,
-                   help="grid resolution exponent (default 3)")
-    p.add_argument("--s-max", type=int, default=4,
-                   help="largest cyclic period tried (default 4)")
-    add_output_flags(p)
-
-    p = sub.add_parser("hsl", help="Frobenius kernel stabilization index of f")
-    add_ring_flags(p)
-    p.add_argument("--depth", type=int, default=64,
-                   help="chain step limit (default 64)")
-    add_output_flags(p)
-
-    p = sub.add_parser("lucas", help="binomial coefficient residue mod p")
-    p.add_argument("-p", "--prime", type=int, required=True)
-    p.add_argument("-m", type=int, required=True, help="top index")
-    p.add_argument("-n", type=int, required=True, help="bottom index")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("scan", help="sweep invariants of f over a prime range")
-    p.add_argument("--primes", required=True, help="inclusive range, e.g. 2..19")
-    p.add_argument("--vars", required=True)
-    p.add_argument("-f", "--poly", required=True)
-    p.add_argument("--report", default="fpt",
-                   help="comma-separated invariants: fpt,hsl,jumps")
-    p.add_argument("--resolution-e", type=int, default=3)
-    p.add_argument("--s-max", type=int, default=4)
-    p.add_argument("--depth", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--cache-dir", default=os.environ.get("CHARP_CACHE_DIR"))
-    p.add_argument("--timeout-secs", type=int, default=DEFAULT_TIMEOUT_SECS,
-                   help="per-prime budget (default 300)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes (default 1)")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            flag.add_to(p)
     return top
 
 
 def job_from_args(args) -> JobSpec:
-    job = JobSpec(command=args.command)
-    if args.command == "scan":
-        job.primes_lo, job.primes_hi = parse_prime_range(args.primes)
-        job.report = tuple(s.strip() for s in args.report.split(",") if s.strip())
-        if not job.report:
-            raise UsageError("empty --report list")
-        job.timeout_secs = args.timeout_secs
-        if job.timeout_secs <= 0:
-            raise UsageError("--timeout-secs must be positive")
-        job.threads = args.threads
-        if job.threads < 1:
-            raise UsageError("--threads must be at least 1")
-    else:
-        job.prime = args.prime
-    if args.command == "lucas":
-        job.m, job.n = args.m, args.n
-    else:
-        job.vars = parse_vars(args.vars)
-        job.poly_text = args.poly
-        job.cache_dir = args.cache_dir
-    if args.command == "root":
-        job.m, job.e = args.m, args.e
-        if job.m < 0:
-            raise UsageError("-m must be non-negative")
-        if job.e < 1:
-            raise UsageError("-e must be positive")
-    if args.command == "tau":
-        job.lam = parse_rational(args.lam)
-        if job.lam < 0:
-            raise UsageError("--lambda must be non-negative")
-    if args.command in ("fpt", "jumps", "scan"):
-        job.s_max = args.s_max
-        if job.s_max < 1:
-            raise UsageError("--s-max must be positive")
-    if args.command in ("fpt", "hsl", "scan"):
-        job.depth = args.depth
-        if job.depth < 0 or (args.command != "scan" and job.depth == 0):
-            raise UsageError("--depth must be positive")
-    if args.command in ("jumps", "scan"):
-        job.resolution_e = args.resolution_e
-        if job.resolution_e < 1:
-            raise UsageError("--resolution-e must be positive")
-    job.fmt = args.format
-    return job
+    flags = COMMANDS[args.command].flags
+    return JobSpec(
+        command=args.command,
+        **{fl.dest: fl.checked(getattr(args, fl.dest)) for fl in flags},
+    )
 
 
 def run(job: JobSpec, out=None, err=None) -> int:
@@ -548,11 +504,11 @@ def run(job: JobSpec, out=None, err=None) -> int:
     try:
         if job.command == "scan":
             return run_scan(job, out)
-        payload = _RUNNERS[job.command](job)
+        payload = _payload(job.command, job)
         if job.fmt == "json":
             out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
-            out.write(render_text(job.command, payload) + "\n")
+            out.write(COMMANDS[job.command].text(payload) + "\n")
         return 0
     except CharpError as exc:
         _report_error(job, out, err, str(exc))

@@ -274,19 +274,9 @@ def ideal_contains(I: Ideal, f: Polynomial) -> bool:
     return not normal_form(f, canon).terms
 
 
-def _all_single_term(I):
-    return bool(I.gens) and all(len(g.terms) == 1 for g in I.gens)
-
-
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
-    if I._canon is None and J._canon is None:
-        if _all_single_term(I) and _all_single_term(J):
-            # monomial fast path: minimalized generators are canonical
-            a = _monomial_minimalize(I.ring, [g.lead_monomial() for g in I.gens])
-            b = _monomial_minimalize(J.ring, [g.lead_monomial() for g in J.gens])
-            return a == b
     return I.canon() == J.canon()
 
 

@@ -98,6 +98,8 @@ def test_hsl_json_chain():
     ["jumps", "-p", "7", "--vars", "x", "-f", "x", "--resolution-e", "0"],
     ["scan", "--primes", "2-9", "--vars", "x", "-f", "x"],
     ["scan", "--primes", "2..9", "--vars", "x", "-f", "x", "--report", "zeta"],
+    ["scan", "--primes", "2..9", "--vars", "x", "-f", "x", "--depth", "0"],
+    ["hsl", "-p", "7", "--vars", "x", "-f", "x", "--depth", "3"],
     ["nosuch", "-p", "7"],
 ])
 def test_usage_errors_exit_1(args):
@@ -121,10 +123,11 @@ def test_resource_limit_exit_2():
 def test_internal_error_exit_3(monkeypatch):
     import charp.cli as cli_mod
 
-    def boom(job):
+    def boom(ring, f, job):
         raise CharpError("invariant violated")
 
-    monkeypatch.setitem(cli_mod._RUNNERS, "hsl", boom)
+    hsl = cli_mod.COMMANDS["hsl"]._replace(compute=boom)
+    monkeypatch.setitem(cli_mod.COMMANDS, "hsl", hsl)
     out, err = io.StringIO(), io.StringIO()
     job = job_from_args(build_parser().parse_args(
         ["hsl", "-p", "7", *QUINTIC_ARGS]))
@@ -136,10 +139,11 @@ def test_internal_error_exit_3(monkeypatch):
 def test_stray_exception_exit_3(monkeypatch, fmt):
     import charp.cli as cli_mod
 
-    def boom(job):
+    def boom(ring, f, job):
         raise RuntimeError("boom\nsecond line")
 
-    monkeypatch.setitem(cli_mod._RUNNERS, "hsl", boom)
+    hsl = cli_mod.COMMANDS["hsl"]._replace(compute=boom)
+    monkeypatch.setitem(cli_mod.COMMANDS, "hsl", hsl)
     out, err = io.StringIO(), io.StringIO()
     job = job_from_args(build_parser().parse_args(
         ["hsl", "-p", "7", *QUINTIC_ARGS, "--format", fmt]))
@@ -180,6 +184,14 @@ def test_scan_fpt_hsl_table():
         assert got[(p, "hsl")] == (hsl_expected[p], "ok")
     primes = [int(line.split(",")[0]) for line in lines[1:]]
     assert primes == sorted(primes)
+
+
+def test_scan_depth_is_fpt_depth_only():
+    # --depth sets fpt's search depth; the hsl chain runs to its proven bound
+    code, out, _ = run_job("scan", "--primes", "7..7", *QUINTIC_ARGS,
+                           "--report", "hsl", "--depth", "1")
+    assert code == 0
+    assert out.splitlines()[1].startswith("7,hsl,2,ok,")
 
 
 def test_scan_empty_range_is_silent():

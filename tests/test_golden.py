@@ -1,8 +1,11 @@
-"""JSON output of the CLI on a non-diagonal quartic, pinned byte for byte.
+"""CLI stdout pinned byte for byte.
 
-The recorded stdout comes from the Buchberger that reduced every S-pair,
-before the pair queue and the Gebauer-Moeller criteria; the reduced basis
-is canonical, so every byte must still agree.
+`quartic_cli_json.json` holds the JSON output for a non-diagonal quartic,
+recorded from the Buchberger that reduced every S-pair, before the pair
+queue and the Gebauer-Moeller criteria; the reduced basis is canonical, so
+every byte must still agree. `cli_outputs.json` holds the text output of
+every subcommand, `lucas` in both formats, `jumps` as JSON and the `fpt`
+interval fallback, recorded from the CLI before its command table.
 """
 
 import contextlib
@@ -14,13 +17,19 @@ import pytest
 
 from charp.cli import main
 
-CASES = json.loads(
-    (Path(__file__).parent / "golden" / "quartic_cli_json.json").read_text()
-)
+GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"][:3]
-                                                                + c["argv"][7:-2]))
+def _cases(name, id_of):
+    cases = json.loads((GOLDEN / name).read_text())
+    return [pytest.param(c, id=id_of(c["argv"])) for c in cases]
+
+
+CASES = _cases("quartic_cli_json.json", lambda argv: " ".join(argv[:3] + argv[7:-2]))
+CASES += _cases("cli_outputs.json", " ".join)
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_quartic_json_output_matches_recording(case, monkeypatch):
     monkeypatch.delenv("CHARP_CACHE_DIR", raising=False)
     out = io.StringIO()

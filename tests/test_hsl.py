@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+import charp.hsl
 from charp import (
-    ResourceLimit,
+    CharpError,
     ZeroPolynomial,
     cartier_step,
     hsl_number,
@@ -80,10 +81,13 @@ def test_hsl_chain_shape():
     assert ideal_contains(report.stabilized, QUINTIC)
 
 
-def test_hsl_step_limit():
-    with pytest.raises(ResourceLimit) as info:
-        hsl_number(QUINTIC, l_max=1)
-    assert len(info.value.chain) >= 2
+def test_hsl_step_limit(monkeypatch):
+    # a chain still moving at its proven bound is an internal error
+    monkeypatch.setattr(charp.hsl, "hsl_upper_bound", lambda n, M: 1)
+    with pytest.raises(CharpError) as info:
+        hsl_number(QUINTIC)
+    assert type(info.value) is CharpError
+    assert len(info.value.chain) == 3
 
 
 def test_hsl_fermat_nine():
