@@ -18,7 +18,6 @@ import argparse
 import csv
 import hashlib
 import json
-import multiprocessing
 import os
 import random
 import signal
@@ -443,6 +442,8 @@ def run_scan(job, out) -> int:
 
     tasks = [replace(job, prime=q) for q in primes]
     if job.threads > 1:
+        import multiprocessing  # only threaded scans pay for this import
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(job.threads) as pool:
             results = pool.imap(scan_prime, tasks)
@@ -492,8 +493,7 @@ def build_parser():
 def job_from_args(args) -> JobSpec:
     flags = COMMANDS[args.command].flags
     return JobSpec(
-        command=args.command,
-        **{fl.dest: fl.checked(getattr(args, fl.dest)) for fl in flags},
+        command=args.command, **{fl.dest: getattr(args, fl.dest) for fl in flags}
     )
 
 
@@ -502,6 +502,8 @@ def run(job: JobSpec, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
+        for flag in COMMANDS[job.command].flags:
+            flag.checked(getattr(job, flag.dest))
         if job.command == "scan":
             return run_scan(job, out)
         payload = _payload(job.command, job)

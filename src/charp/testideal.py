@@ -4,18 +4,20 @@ Everything reduces to Frobenius roots through two exact identities:
 
   * pure p-power exponents: tau(f^(m/p^e)) = (f^m)^[1/p^e], no limit
     process involved;
-  * for lambda = r/(p^s - 1) in (0,1), the ascending chain seeded at
-    (f^(r+1))^[1/p^s] with step J -> (f^r * J)^[1/p^s] stabilizes to
-    tau(f^lambda), while the descending chain seeded at (f^r)^[1/p^s] with
-    the same step stabilizes to the left limit of tau at lambda (its e-th
-    entry equals tau at the pure p-power exponent r*(1 + p^s + ... +
+  * for lambda = t/(p^s - 1), the chain J -> (f^t * J)^[1/p^s] seeded at
+    (f) ascends to tau(f^lambda) for 0 < t < p^s - 1, and seeded at (1) it
+    descends to the left limit of tau at lambda for 0 < t <= p^s - 1 (its
+    e-th entry is tau at the pure p-power exponent t*(1 + p^s + ... +
     p^(s(e-1)))/p^(se), which increases to lambda from below).
 
 The step operator is monotone, so one-step equality is a rigorous stopping
-rule for both chains. A general rational exponent is reduced to those two
-shapes by Skoda's identity (tau(f^lambda) = f * tau(f^(lambda-1)) for
-lambda >= 1) and by folding p-power denominator parts through a single
-degree-bounded mixed root.
+rule for both chains, and every chain stops within hsl_upper_bound of its
+degree bound (see cartier_chain). Both tau and its left limit at a general
+rational lambda = r/(p^a(p^s - 1)) go through one routine: lambda * p^a =
+k + t/(p^s - 1) picks the chain, and one mixed root (f^k * chain)^[1/p^a]
+divides by p^a. Skoda's identity (tau(f^lambda) = f * tau(f^(lambda-1))
+for lambda >= 1) is folded into that root: the part of k beyond p^a
+multiplies the result.
 
 Jumping-number enumeration exploits monotonicity twice: equal ideals at two
 grid exponents certify the absence of jumps over the whole span (enabling
@@ -26,12 +28,13 @@ certified by comparing tau against its left limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 
 from .errors import (
     ChainNotMonotone,
+    CharpError,
     OutOfInterval,
     ResourceLimit,
     UnitPolynomial,
@@ -39,9 +42,8 @@ from .errors import (
 )
 from .ring import Polynomial, per_call_digit_powers, pow_base_p
 from .groebner import Ideal, ideal_equal, ideal_subset, scale_ideal, unit_ideal
-from .frobenius import ROOT_POWER_LIMIT, frob_root, mixed_root
-
-CHAIN_STEP_LIMIT = 64
+from .frobenius import ROOT_POWER_LIMIT, mixed_root
+from .hsl import hsl_upper_bound
 
 
 def multiplicative_order(x: int, modulus: int) -> int:
@@ -134,20 +136,34 @@ def cartier_chain(f: Polynomial, r: int, s: int, seed: Ideal) -> Ideal:
     The step operator is inclusion-monotone, so once two consecutive values
     agree the chain is constant forever; the direction (ascending or
     descending) is asserted on the first step.
+
+    Every entry is generated in degree at most B = max(1, deg seed,
+    ceil(r * deg f / (p^s - 1))): if J is, then f^r * J is generated in
+    degree at most r * deg f + B <= p^s * B, and its root in degree at most
+    B. An ideal generated in degree at most B is determined by its part in
+    that degree, a space of dimension C(n + B, n), so a strictly monotone
+    chain has at most C(n + B, n) + 1 members and stabilizes within
+    hsl_upper_bound(n, B) steps. A chain still moving there contradicts
+    the bound: an internal error.
     """
+    q = f.ring.p**s - 1
+    degree = max((g.total_degree() for g in seed.gens), default=0)
+    bound = hsl_upper_bound(
+        len(f.ring.vars), max(1, degree, -(-r * f.total_degree() // q))
+    )
     current = seed
-    nxt = mixed_root(f, r, current, s)
-    if ideal_equal(nxt, current):
-        return current
-    if not (ideal_subset(current, nxt) or ideal_subset(nxt, current)):
-        raise ChainNotMonotone(
-            f"chain step is not monotone from seed {seed} (r={r}, s={s})"
-        )
-    for _ in range(CHAIN_STEP_LIMIT):
-        current, nxt = nxt, mixed_root(f, r, nxt, s)
+    for step in range(bound):
+        nxt = mixed_root(f, r, current, s)
         if ideal_equal(nxt, current):
             return current
-    raise ResourceLimit(f"chain did not stabilize within {CHAIN_STEP_LIMIT} steps")
+        if step == 0 and not (
+            ideal_subset(current, nxt) or ideal_subset(nxt, current)
+        ):
+            raise ChainNotMonotone(
+                f"chain step is not monotone from seed {seed} (r={r}, s={s})"
+            )
+        current = nxt
+    raise CharpError(f"chain did not stabilize within its bound {bound}")
 
 
 @per_call_digit_powers
@@ -157,95 +173,43 @@ def tau_ppower(f: Polynomial, m: int, e: int) -> Ideal:
     return mixed_root(f, m, unit_ideal(f.ring), e)
 
 
-def _tau_fractional(f: Polynomial, r: int, s: int) -> Ideal:
-    # tau(f^(r/(p^s-1))) for 0 < r < p^s - 1
-    seed = mixed_root(f, r + 1, unit_ideal(f.ring), s)
-    return cartier_chain(f, r, s, seed)
+def _tau_side(f: Polynomial, lam, left: bool) -> Ideal:
+    """tau(f^lam), or its left limit at lam when left is set.
 
-
-def _tau_left_fractional(f: Polynomial, r: int, s: int) -> Ideal:
-    # left limit of tau at r/(p^s-1) for 0 < r <= p^s - 1
-    seed = mixed_root(f, r, unit_ideal(f.ring), s)
-    return cartier_chain(f, r, s, seed)
-
-
-def _split_integer_part(lam: Fraction, half_open_high: bool):
-    """lam = k + theta with theta in (0,1) (or (0,1] if half_open_high)."""
-    k = int(lam)
-    theta = lam - k
-    if theta == 0 and half_open_high:
-        k -= 1
-        theta = Fraction(1)
-    return k, theta
+    lam * p^a = k + t/(p^s - 1) with t in [0, p^s - 1) for tau and in
+    (0, p^s - 1] for the left limit; t = 0 leaves the chain at (1).
+    """
+    lam = Fraction(lam)
+    _require_nonzero(f)
+    if lam < 0 or (left and lam == 0):
+        raise ValueError(f"exponent must be {'positive' if left else '>= 0'}")
+    ring = f.ring
+    if f.is_unit() or lam == 0:
+        return unit_ideal(ring)
+    form = pfrac_form(lam, ring.p)
+    q = ring.p**form.s - 1
+    k, t = divmod(form.r, q)
+    if left and t == 0:
+        k, t = k - 1, q
+    inner = unit_ideal(ring)
+    if t:
+        seed = inner if left else Ideal(ring, [f])
+        inner = cartier_chain(f, t, form.s, seed)
+    if form.a:
+        return mixed_root(f, k, inner, form.a)
+    return scale_ideal(pow_base_p(f, k), inner)
 
 
 @per_call_digit_powers
 def tau(f: Polynomial, lam) -> Ideal:
     """The test ideal of f at exponent lam >= 0."""
-    lam = Fraction(lam)
-    _require_nonzero(f)
-    if lam < 0:
-        raise ValueError("exponent must be >= 0")
-    ring = f.ring
-    if f.is_unit() or lam == 0:
-        return unit_ideal(ring)
-    if lam.denominator == 1:
-        return Ideal(ring, [pow_base_p(f, int(lam))])
-    k, theta = _split_integer_part(lam, half_open_high=False)
-    result = _tau_unit_interval(f, theta)
-    if k:
-        # Skoda, applied k times at once
-        result = scale_ideal(pow_base_p(f, k), result)
-    return result
-
-
-def _tau_unit_interval(f: Polynomial, lam: Fraction) -> Ideal:
-    # 0 < lam < 1
-    p = f.ring.p
-    form = pfrac_form(lam, p)
-    scaled = lam * p**form.a  # = r / (p^s - 1), possibly >= 1
-    if scaled.denominator == 1:
-        return tau_ppower(f, int(scaled), form.a)
-    k, theta = _split_integer_part(scaled, half_open_high=False)
-    r_theta = int(theta * (p**form.s - 1))
-    inner = _tau_fractional(f, r_theta, form.s)
-    if form.a == 0:
-        return inner
-    # tau(f^(mu/p^a)) = tau(f^mu)^[1/p^a]; fold Skoda's f^k through the
-    # root as one degree-bounded mixed root
-    return mixed_root(f, k, inner, form.a)
+    return _tau_side(f, lam, left=False)
 
 
 @per_call_digit_powers
 def tau_left(f: Polynomial, lam) -> Ideal:
     """The common value of tau(f^mu) for mu < lam sufficiently close."""
-    lam = Fraction(lam)
-    _require_nonzero(f)
-    if lam <= 0:
-        raise ValueError("exponent must be positive")
-    if f.is_unit():
-        return unit_ideal(f.ring)
-    k, theta = _split_integer_part(lam, half_open_high=True)
-    result = _tau_left_unit_interval(f, theta)
-    if k:
-        result = scale_ideal(pow_base_p(f, k), result)
-    return result
-
-
-def _tau_left_unit_interval(f: Polynomial, lam: Fraction) -> Ideal:
-    # 0 < lam <= 1
-    p = f.ring.p
-    form = pfrac_form(lam, p)
-    scaled = lam * p**form.a
-    k, theta = _split_integer_part(scaled, half_open_high=True)
-    r_theta = int(theta * (p**form.s - 1))
-    inner = _tau_left_fractional(f, r_theta, form.s)
-    if k:
-        inner = mixed_root(f, k, inner, form.a) if form.a else scale_ideal(
-            pow_base_p(f, k), inner
-        )
-        return inner
-    return frob_root(inner, form.a) if form.a else inner
+    return _tau_side(f, lam, left=True)
 
 
 @per_call_digit_powers
@@ -260,10 +224,10 @@ def is_fjumping(f: Polynomial, lam) -> JumpCertificate:
             value=lam, tau_at=one, tau_left=one, status="certified-not-jump"
         )
     # f^k*A == f^k*B iff A == B (the ring is a domain), so decide equality
-    # on the fractional parts and scale only the reported ideals
-    k, theta = _split_integer_part(lam, half_open_high=True)
-    at = tau(f, theta)
-    left = tau_left(f, theta)
+    # at lam - k in (0, 1] and scale only the reported ideals
+    k = ceil(lam) - 1
+    at = tau(f, lam - k)
+    left = tau_left(f, lam - k)
     status = "certified-not-jump" if ideal_equal(at, left) else "certified-jump"
     if k:
         g = pow_base_p(f, k)

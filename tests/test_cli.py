@@ -109,10 +109,16 @@ def test_usage_errors_exit_1(args):
 
 
 def test_json_error_payload():
-    r = cli("tau", "-p", "7", "--vars", "x", "-f", "x+w",
-            "--lambda", "1/2", "--format", "json")
-    assert r.returncode == 1
-    assert "error" in json.loads(r.stdout)
+    # a bad polynomial and a flag value below its minimum take one path
+    for args in (
+        ["tau", "-p", "7", "--vars", "x", "-f", "x+w", "--lambda", "1/2"],
+        ["fpt", "-p", "7", "--vars", "x", "-f", "x", "--depth", "0"],
+        ["lucas", "-p", "7", "-m", "-1", "-n", "0"],
+    ):
+        r = cli(*args, "--format", "json")
+        assert r.returncode == 1
+        assert "error" in json.loads(r.stdout)
+        assert r.stderr.startswith("charp:")
 
 
 def test_resource_limit_exit_2():

@@ -8,6 +8,7 @@ import pytest
 
 import charp.testideal as testideal_module
 from charp import (
+    CharpError,
     FptInterval,
     GapClaim,
     Ideal,
@@ -105,6 +106,15 @@ def test_cartier_chain_examples():
     assert ideal_equal(fixed, maximal_power(R7, 3))
     assert ideal_equal(fixed, tau_left(QUINTIC, 1))
     assert ideal_equal(cartier_chain(QUINTIC, 6, 1, fixed), fixed)
+
+
+def test_cartier_chain_step_limit(monkeypatch):
+    # a chain still moving at its proven bound is an internal error; this
+    # one leaves its seed (1) on the first step
+    monkeypatch.setattr(testideal_module, "hsl_upper_bound", lambda n, M: 1)
+    with pytest.raises(CharpError) as info:
+        cartier_chain(QUINTIC, 6, 1, unit_ideal(R7))
+    assert type(info.value) is CharpError
 
 
 @pytest.mark.parametrize("lam,expected_texts", [
@@ -365,11 +375,17 @@ def test_grid_chain_ascends_to_tau():
     assert ideal_equal(prev, tau(QUINTIC, lam))
 
 
-@pytest.mark.parametrize("lam", [Fraction(1, 1), Fraction(11, 7), Fraction(13, 7)])
-def test_skoda_identity(lam):
-    lhs = tau(QUINTIC, lam)
-    rhs = scale_ideal(QUINTIC, tau(QUINTIC, lam - 1))
-    assert ideal_equal(lhs, rhs)
+QUINTIC_2 = parse_poly(make_ring(2, ["x", "y", "z"]), "x^5+y^5+z^5")
+SKODA_CASES = [(QUINTIC, Fraction(lam)) for lam in ("1", "11/7", "13/7", "2")]
+SKODA_CASES += [(QUINTIC_2, Fraction(lam)) for lam in ("5/4", "3/2", "7/4")]
+
+
+@pytest.mark.parametrize("f,lam", SKODA_CASES,
+                         ids=[f"lam{i}" for i in range(len(SKODA_CASES))])
+def test_skoda_identity(f, lam):
+    assert ideal_equal(tau(f, lam), scale_ideal(f, tau(f, lam - 1)))
+    if lam > 1:
+        assert ideal_equal(tau_left(f, lam), scale_ideal(f, tau_left(f, lam - 1)))
 
 
 @pytest.mark.parametrize("m,e", [(3, 1), (11, 2), (48, 2), (100, 3)])
