@@ -14,13 +14,27 @@ generator degree. Each digit power f^r comes from f.digit_power(r), so the
 p possible values are built once per outermost call (see
 per_call_digit_powers in ring.py) and reused by every level of every root
 taken within it. It is the workhorse behind every test-ideal chain.
+
+One root level is monomial-first. Almost every residue class of f^r * J
+holds a single term, whose root is a monomial: those stay exponent tuples
+in a set, and only classes of several terms become Polynomials. A monomial
+generator x^u of J needs no product, by the scaled-root identity
+(x^(p*w) * h)^[1/p] = x^w * h^[1/p] (Blickle-Mustata-Smith, "Discreteness
+and rationality of F-thresholds", Michigan Math. J. 2008). A level whose
+classes are all single terms is a monomial ideal, minimalized once by
+divisibility with no Buchberger run. Every level returns the canonical
+reduced basis, which is unique, so this route gives the same ideals, byte
+for byte, as rooting the product directly.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, floordiv, mod
+
 from .errors import ResourceLimit, RingMismatch
 from .ring import Polynomial, frob_power, per_call_digit_powers, pow_base_p
-from .groebner import Ideal, canonical_ideal, scale_ideal
+from .groebner import Ideal, canonical_ideal, monomial_ideal, scale_ideal
 
 # guard on p^e: exponent components beyond this indicate a runaway input
 ROOT_POWER_LIMIT = 2**40
@@ -39,29 +53,77 @@ def bracket_power(I: Ideal, e: int) -> Ideal:
     return Ideal(I.ring, [frob_power(g, e) for g in I.gens])
 
 
-def _root_one_generator(h: Polynomial, q: int):
+def _classes(terms, q):
+    """Split the terms c * x^v as v = q * quo + res into {res: {quo: c}}.
+
+    Distinct terms land on distinct (res, quo), so nothing cancels.
+    """
     classes = {}
-    for v, c in h.terms:
-        res = tuple(x % q for x in v)
-        quo = tuple(x // q for x in v)
+    qs = repeat(q)
+    for v, c in terms:
+        res = tuple(map(mod, v, qs))
+        quo = tuple(map(floordiv, v, qs))
         classes.setdefault(res, {})[quo] = c
-    ring = h.ring
-    # distinct terms of h land on distinct (res, quo), so no cancellation
-    # happens here; sort classes for a deterministic generator list
-    return [
-        ring.from_dict(classes[res])
-        for res in sorted(classes, key=ring.desc_key)
-    ]
+    return classes
 
 
 def frob_root(b: Ideal, e: int) -> Ideal:
     """Smallest ideal J with b contained in J^[p^e]."""
-    _check_root_guard(b.ring.p, e)
-    q = b.ring.p**e
+    ring = b.ring
+    _check_root_guard(ring.p, e)
+    q = ring.p**e
     gens = []
     for h in b.gens:
-        gens.extend(_root_one_generator(h, q))
-    return Ideal(b.ring, gens)
+        classes = _classes(h.terms, q)
+        # sort classes for a deterministic generator list
+        gens.extend(
+            ring.from_dict(classes[res])
+            for res in sorted(classes, key=ring.desc_key)
+        )
+    return Ideal(ring, gens)
+
+
+def _root_level(fr: Polynomial, J: Ideal) -> Ideal:
+    """(fr * J)^[1/p], canonical.
+
+    A class holding one term roots to a monomial, kept as its exponent in
+    a set; only classes of several terms become Polynomials. A monomial
+    generator x^u of J, u = p*w + s with s < p, needs no product: its root
+    is x^w * (fr * x^s)^[1/p], and the second factor is computed once per
+    s. When every class is a single term the level is a monomial ideal and
+    skips Buchberger.
+    """
+    ring = J.ring
+    p = ring.p
+    monos, polys = set(), []
+    shifted = {}  # s -> the root of fr * x^s: (single-term exponents, polys)
+
+    def split(terms):
+        single, multi = [], []
+        for cls in _classes(terms, p).values():
+            if len(cls) == 1:
+                single.extend(cls)
+            else:
+                multi.append(ring.from_dict(cls))
+        return single, multi
+
+    for g in J.gens:
+        if len(g.terms) > 1:
+            single, multi = split((fr * g).terms)
+            monos.update(single)
+            polys.extend(multi)
+            continue
+        w, s = zip(*(divmod(x, p) for x in g.terms[0][0]))
+        if s not in shifted:
+            shifted[s] = split(fr.mul_term(s, 1).terms)
+        single, multi = shifted[s]
+        monos.update(tuple(map(add, w, quo)) for quo in single)
+        polys.extend(h.mul_term(w, 1) for h in multi)
+    if not polys:
+        return monomial_ideal(ring, monos)
+    return canonical_ideal(
+        Ideal(ring, list(monomial_ideal(ring, monos).gens) + polys)
+    )
 
 
 @per_call_digit_powers
@@ -81,10 +143,10 @@ def mixed_root(f: Polynomial, m: int, I: Ideal, e: int) -> Ideal:
     J = I
     for _ in range(e):
         m, r = divmod(m, p)
-        # compress to the canonical basis: per-generator rooting multiplies
+        # each level is canonical: per-generator rooting multiplies
         # generator counts, and without minimalization the growth compounds
         # exponentially across levels
-        J = canonical_ideal(frob_root(scale_ideal(f.digit_power(r), J), 1))
+        J = _root_level(f.digit_power(r), J)
     if m:
         J = scale_ideal(pow_base_p(f, m), J)
     return J

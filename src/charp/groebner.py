@@ -7,7 +7,10 @@ reduce to it, and its term tuples give a hashable fingerprint for caches.
 Conventions: the zero ideal has canonical basis []; the unit ideal has
 canonical basis [1]. Monomial ideals (every generator a single term) skip
 Buchberger entirely: divisibility minimalization of the generators already
-IS the reduced basis.
+IS the reduced basis. monomial_ideal builds one straight from exponent
+tuples, in canonical form, so callers never form Polynomials for monomials
+that minimalization drops. Minimalization indexes the kept exponents by
+each entry, so each test scans only those that can divide.
 
 Everything else goes through Buchberger's algorithm with the normal
 selection strategy (smallest lcm of the pair's leads first). Pairs wait in a
@@ -62,14 +65,40 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 
 def _monomial_minimalize(ring, exponents):
-    """Minimal generators of the monomial ideal spanned by the exponents."""
+    """Minimal generators of the monomial ideal spanned by the exponents.
+
+    Exponents are visited by ascending total degree, so every proper
+    divisor of e is decided before e. The kept ones are indexed by entry:
+    buckets[i][v] lists those whose entry i is v. A divisor of e has entry
+    i at most e[i], so e is tested only against the buckets v <= e[i] of
+    the position i where e is smallest.
+    """
     uniq = sorted(set(exponents), key=sum)
+    buckets = [{} for _ in range(ring.nvars)]
     kept = []
     for e in uniq:
-        if not any(_divides(k, e) for k in kept):
-            kept.append(e)
+        low = min(e)
+        column = buckets[e.index(low)]
+        if any(
+            _divides(k, e) for v in range(low + 1) for k in column.get(v, ())
+        ):
+            continue
+        kept.append(e)
+        for bucket, v in zip(buckets, e):
+            bucket.setdefault(v, []).append(e)
     kept.sort(key=ring.desc_key)
     return kept
+
+
+def monomial_ideal(ring, exponents) -> Ideal:
+    """The ideal of the monomials x^e for e in exponents, canonical.
+
+    Its minimal generators by divisibility already are its reduced basis.
+    """
+    basis = [ring.monomial(e) for e in _monomial_minimalize(ring, exponents)]
+    out = Ideal(ring, basis)
+    out._canon = out.gens
+    return out
 
 
 def _lcm(a, b):
@@ -183,8 +212,7 @@ def reduced_groebner_basis(ring, gens):
     if any(g.is_unit() for g in gens):
         return [ring.one()]
     if all(len(g.terms) == 1 for g in gens):
-        mins = _monomial_minimalize(ring, [g.lead_monomial() for g in gens])
-        return [ring.monomial(e) for e in mins]
+        return list(monomial_ideal(ring, [g.lead_monomial() for g in gens]).gens)
     basis = _buchberger_raw(ring, gens)
     out = _reduce_basis(ring, basis)
     if len(out) == 1 and out[0].is_unit():

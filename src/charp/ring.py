@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import re
 from contextvars import ContextVar
-from operator import neg
+from operator import add, neg
 
 from .errors import (
     BadVariableName,
@@ -255,8 +255,7 @@ class Polynomial:
         if coeff == 0 or not self.terms:
             return self.ring.zero()
         terms = tuple(
-            (tuple(a + b for a, b in zip(e, exponents)), c * coeff % p)
-            for e, c in self.terms
+            (tuple(map(add, e, exponents)), c * coeff % p) for e, c in self.terms
         )
         # a single-term scale preserves the descending order
         return Polynomial(self.ring, tuple(t for t in terms if t[1]))

@@ -352,13 +352,19 @@ def jumps_in_unit_interval(f: Polynomial, e_res: int, s_max: int = 4):
         return cache[key]
 
     def drop_cells(m_lo, m_hi, depth):
-        # cells (m-1, m] where the grid ideal strictly drops
-        if ideal_equal(grid(m_lo, depth), grid(m_hi, depth)):
-            return []
-        if m_hi - m_lo == 1:
-            return [m_hi]
-        mid = (m_lo + m_hi) // 2
-        return drop_cells(m_lo, mid, depth) + drop_cells(mid, m_hi, depth)
+        # cells (m-1, m] where the grid ideal strictly drops, ascending; a
+        # loop, not a closure that calls itself, so no reference cycle
+        # keeps the grid cache alive after the call returns
+        spans = [(m_lo, m_hi)]
+        while spans:
+            lo, hi = spans.pop()
+            if ideal_equal(grid(lo, depth), grid(hi, depth)):
+                continue
+            if hi - lo == 1:
+                yield hi
+                continue
+            mid = (lo + hi) // 2
+            spans += [(mid, hi), (lo, mid)]
 
     results = []
     top = p**e_res
@@ -440,13 +446,23 @@ def transport_jump(mu, r: int, e: int, p: int) -> Fraction:
     return p**e * mu - r
 
 
-def gap_certificate(f: Polynomial, r: int, e: int, d: int) -> GapClaim:
-    """Certified-empty interval ((1 - p^(-de)) * lam, lam), lam = r/(p^e-1),
-    valid when d bounds the number of jumping numbers of f below lam."""
+@per_call_digit_powers
+def gap_certificate(f: Polynomial, r: int, e: int, d: int) -> GapClaim | None:
+    """The interval (lam_d, lam) if it holds no jumping number, else None.
+
+    lam = r/(p^e - 1) and lam_d = (1 - p^(-de)) * lam. The claim is checked:
+    lam_d = m/p^(de) with m = r * (p^(de) - 1)/(p^e - 1), so tau(f^lam_d)
+    is the single root tau_ppower(f, m, de). tau is non-increasing in the
+    exponent, so it is constant on [lam_d, lam) exactly when tau(f^lam_d)
+    equals the left limit tau_left(f, lam); then no jump lies in between.
+    """
     p = f.ring.p
-    lam = Fraction(r, p**e - 1)
-    lam_d = (1 - Fraction(1, p ** (d * e))) * lam
-    return GapClaim(lo=lam_d, hi=lam)
+    q = p**e - 1
+    lam = Fraction(r, q)
+    m = r * (p ** (d * e) - 1) // q
+    if not ideal_equal(tau_ppower(f, m, d * e), tau_left(f, lam)):
+        return None
+    return GapClaim(lo=Fraction(m, p ** (d * e)), hi=lam)
 
 
 def jump_count_bound(n: int, M: int, lam) -> int:

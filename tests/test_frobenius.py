@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from charp.groebner import canonical_ideal
 from charp import (
     Ideal,
     ResourceLimit,
@@ -86,20 +87,48 @@ def random_ideal(rng, ring):
     return Ideal(ring, [random_poly(rng, ring) for _ in range(rng.randrange(1, 3))])
 
 
+def root_level_inputs(rng, ring):
+    """One J of each shape a root level meets: random, monomial, mixed,
+    zero, unit, and monomials that share u mod p (one root, many shifts)."""
+    p = ring.p
+    monos = [ring.monomial([rng.randrange(2 * p) for _ in ring.vars])
+             for _ in range(3)]
+    s = [rng.randrange(p) for _ in ring.vars]
+    shared = [ring.monomial([x + p * rng.randrange(3) for x in s])
+              for _ in range(3)]
+    return [
+        random_ideal(rng, ring),
+        Ideal(ring, monos),
+        Ideal(ring, monos[:2] + [random_poly(rng, ring)]),
+        Ideal(ring, []),
+        unit_ideal(ring),
+        Ideal(ring, shared),
+    ]
+
+
 @pytest.mark.parametrize("p,nvars,seed,iters,m_hi", [
     (2, 2, 0, 20, 12), (3, 2, 1, 20, 12), (5, 3, 2, 12, 8), (7, 2, 3, 10, 6),
 ])
 def test_mixed_root_matches_direct_root(p, nvars, seed, iters, m_hi):
+    # the same reduced basis, byte for byte, as rooting f^m * J directly;
+    # below m = p^e no factor f^k is left over, and the root comes back
+    # generated by that basis
     rng = random.Random(seed)
-    ring = make_ring(p, ["x", "y", "z"][:nvars])
-    for _ in range(iters):
-        f = random_poly(rng, ring)
-        if not f:
-            continue
-        I = random_ideal(rng, ring)
-        m, e = rng.randrange(0, m_hi), rng.randrange(1, 3)
-        direct = frob_root(scale_ideal(poly_pow(f, m), I), e)
-        assert ideal_equal(mixed_root(f, m, I, e), direct)
+    names = ["x", "y", "z"][:nvars]
+    for order in ("grevlex", "lex"):
+        ring = make_ring(p, names, order)
+        for i in range(iters):
+            f = random_poly(rng, ring)
+            if not f:
+                continue
+            inputs = root_level_inputs(rng, ring)
+            I = inputs[i % len(inputs)]
+            m, e = rng.randrange(0, m_hi), rng.randrange(1, 3)
+            direct = canonical_ideal(frob_root(scale_ideal(poly_pow(f, m), I), e))
+            got = mixed_root(f, m, I, e)
+            assert got.canon() == direct.gens
+            if m < p**e:
+                assert got.gens == direct.gens
 
 
 @pytest.mark.parametrize("p,seed", [(2, 10), (5, 11), (7, 12)])

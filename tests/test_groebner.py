@@ -279,3 +279,24 @@ def test_pair_criteria_skip_redundant_pairs(monkeypatch):
 ])
 def test_divides(a, b, expected):
     assert groebner_module._divides(a, b) is expected
+
+
+@st.composite
+def exponent_sets(draw):
+    nvars = draw(st.integers(1, 4))
+    ring = make_ring(2, ["x", "y", "z", "w"][:nvars],
+                     draw(st.sampled_from(["grevlex", "lex"])))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars), max_size=40))
+    return ring, exps
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_sets())
+def test_indexed_minimalize_matches_definition(data):
+    # e is a minimal generator iff no other exponent of the set divides it
+    ring, exps = data
+    uniq = set(exps)
+    naive = [e for e in uniq
+             if not any(k != e and groebner_module._divides(k, e) for k in uniq)]
+    naive.sort(key=ring.sort_key, reverse=True)
+    assert groebner_module._monomial_minimalize(ring, exps) == naive

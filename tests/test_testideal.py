@@ -1,5 +1,6 @@
 """Test ideals, left limits, jumping numbers, thresholds, and bounds."""
 
+import gc
 import random
 from fractions import Fraction
 from math import factorial
@@ -220,6 +221,21 @@ def test_jumps_monomial_none_below_one():
     assert jumps_in_unit_interval(parse_poly(R, "x"), 2) == []
 
 
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_jumps_leaves_no_garbage_cycles(p):
+    # the grid cache and the private copy of f go when the call returns,
+    # freed by reference counting, not left to the cycle collector
+    R = make_ring(p, ["x", "y", "z"])
+    f = parse_poly(R, "x^5+y^5+z^5")
+    gc.collect()
+    gc.disable()
+    try:
+        jumps_in_unit_interval(f, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_jumps_grid_reuses_coarse_cells(monkeypatch):
     # a sub-cell endpoint m*p^k/p^(e+k) keys the grid as m/p^e, so the
     # refinement walk probes fewer test ideals; keyed on (m, depth) as
@@ -345,6 +361,12 @@ def test_gap_certificate_quintic():
     assert claim.hi == 1 and claim.lo == 1 - Fraction(1, 7**4)
     # cross-check: tau is constant on the certified-empty interval
     assert ideal_equal(tau_left(QUINTIC, 1), tau(QUINTIC, claim.lo))
+
+
+def test_gap_certificate_refuses_a_false_claim():
+    # (6/7, 1) holds the certified jump 48/49, so there is no gap to claim
+    assert is_fjumping(QUINTIC, Fraction(48, 49)).is_jump()
+    assert gap_certificate(QUINTIC, 6, 1, 1) is None
 
 
 def test_jump_count_bound_examples():
