@@ -40,10 +40,19 @@ from .groebner import Ideal, canonical_ideal, monomial_ideal, scale_ideal
 ROOT_POWER_LIMIT = 2**40
 
 
+def _max_root_depth(p):
+    """The largest e with p^e <= ROOT_POWER_LIMIT, found without forming
+    p^e for the (possibly huge) e a caller asks for."""
+    e, q = 0, p
+    while q <= ROOT_POWER_LIMIT:
+        e, q = e + 1, q * p
+    return e
+
+
 def _check_root_guard(p, e):
-    if e < 1:
-        raise ValueError("root exponent e must be >= 1")
-    if p**e > ROOT_POWER_LIMIT:
+    if e < 0:
+        raise ValueError("root exponent e must be >= 0")
+    if e > _max_root_depth(p):
         raise ResourceLimit(f"p^e = {p}^{e} exceeds {ROOT_POWER_LIMIT}")
 
 
@@ -132,7 +141,8 @@ def mixed_root(f: Polynomial, m: int, I: Ideal, e: int) -> Ideal:
 
     With m = q*p + r: (f^m * I)^[1/p] = f^q * (f^r * I)^[1/p], applied once
     per root level; any exponent left after e levels multiplies the result
-    directly (it is at most m / p^e, tiny for every chain use).
+    directly (it is at most m / p^e, tiny for every chain use). e = 0 is
+    the identity root: f^m * I, and I itself when m = 0.
     """
     if f.ring != I.ring:
         raise RingMismatch("polynomial and ideal from different rings")

@@ -19,11 +19,18 @@ divides by p^a. Skoda's identity (tau(f^lambda) = f * tau(f^(lambda-1))
 for lambda >= 1) is folded into that root: the part of k beyond p^a
 multiplies the result.
 
+Both searches, fpt and the jumping numbers, certify with one rule. Walking
+candidates lambda = r/(p^a(p^s - 1)) upward from a known ideal "below", tau
+drops at lambda when tau(f^lambda) differs from below; the drop is a
+certified jump when the left limit of tau at lambda still equals below, and
+only a candidate when it does not (then tau dropped somewhere in between,
+at an exponent outside the candidate families).
+
 Jumping-number enumeration exploits monotonicity twice: equal ideals at two
 grid exponents certify the absence of jumps over the whole span (enabling
 divide-and-conquer instead of a full p^e grid walk), and each localized
-drop is then pinned to an exact rational with denominator p^a(p^s - 1) and
-certified by comparing tau against its left limit.
+drop cell is then walked with the rule above from the grid ideal at its
+left end until tau reaches the grid ideal at its right end.
 """
 
 from __future__ import annotations
@@ -36,13 +43,12 @@ from .errors import (
     ChainNotMonotone,
     CharpError,
     OutOfInterval,
-    ResourceLimit,
     UnitPolynomial,
     ZeroPolynomial,
 )
 from .ring import Polynomial, per_call_digit_powers, pow_base_p
 from .groebner import Ideal, ideal_equal, ideal_subset, scale_ideal, unit_ideal
-from .frobenius import ROOT_POWER_LIMIT, mixed_root
+from .frobenius import _check_root_guard, _max_root_depth, mixed_root
 from .hsl import hsl_upper_bound
 
 
@@ -195,9 +201,7 @@ def _tau_side(f: Polynomial, lam, left: bool) -> Ideal:
     if t:
         seed = inner if left else Ideal(ring, [f])
         inner = cartier_chain(f, t, form.s, seed)
-    if form.a:
-        return mixed_root(f, k, inner, form.a)
-    return scale_ideal(pow_base_p(f, k), inner)
+    return mixed_root(f, k, inner, form.a)
 
 
 @per_call_digit_powers
@@ -271,17 +275,31 @@ def _candidates_in_interval(p, lo: Fraction, hi: Fraction, a_max, s_max):
     return sorted(values)
 
 
-def _capped_depth(p: int, wanted: int, limit: int) -> int:
-    """wanted, or wanted - 1 where p^wanted is beyond limit.
+def _capped_depth(p: int, wanted: int) -> int:
+    """wanted, or wanted - 1 where p^wanted is beyond the root guard.
 
     Giving up a level widens the localizing cell p-fold. That only adds
     candidates, and each is still certified, so the answer is unchanged.
     Two levels would multiply every candidate family by p^2 (the cusp's
     fpt then takes two minutes at p = 53), so the guard fires instead.
     """
-    if p ** (wanted - 1) > limit:
-        raise ResourceLimit(f"p^e = {p}^{wanted - 1} exceeds {limit}")
-    return wanted if p**wanted <= limit else wanted - 1
+    _check_root_guard(p, wanted - 1)
+    return min(wanted, _max_root_depth(p))
+
+
+def _drop_at(f: Polynomial, lam: Fraction, below: Ideal):
+    """None if tau(f^lam) still equals below, else the drop at lam.
+
+    The drop is a certified jump when the left limit of tau at lam equals
+    below as well, and a candidate when it does not: then tau already
+    dropped somewhere between the exponent of below and lam.
+    """
+    at = tau(f, lam)
+    if ideal_equal(at, below):
+        return None
+    left = tau_left(f, lam)
+    status = "certified-jump" if ideal_equal(left, below) else "candidate"
+    return JumpCertificate(value=lam, tau_at=at, tau_left=left, status=status)
 
 
 @per_call_digit_powers
@@ -291,30 +309,24 @@ def fpt(f: Polynomial, e_max: int = 4, s_max: int = 4):
     Localizes the threshold to a width p^(-e_ref) interval with e_ref =
     e_max + s_max (so each candidate family contributes O(1) candidates),
     or one less where p^(e_max + s_max) is beyond ROOT_POWER_LIMIT,
-    then certifies the unique candidate lambda with tau_left = (1) and
-    tau != (1). Returns a JumpCertificate on success, else an FptInterval
-    (honest uncertified localization).
+    then walks the candidates inside from below = (1) up to the first
+    drop of tau. Returns that drop when it is a certified jump, else an
+    FptInterval (honest uncertified localization): past a drop tau is
+    proper, and so is every later left limit, so nothing later certifies.
     """
     _require_nonzero(f)
     _require_nonunit(f)
     p = f.ring.p
-    e_ref = _capped_depth(p, e_max + s_max, ROOT_POWER_LIMIT)
+    e_ref = _capped_depth(p, e_max + s_max)
     located = nu(f, e_ref)
     lo = Fraction(located.nu, p**e_ref)
     hi = Fraction(located.nu + 1, p**e_ref)
-    for lam in _candidates_in_interval(p, lo, hi, e_max, s_max):
-        at = tau(f, lam)
-        if at.is_unit():
-            continue
-        left = tau_left(f, lam)
-        if left.is_unit():
-            return JumpCertificate(
-                value=lam, tau_at=at, tau_left=left, status="certified-jump"
-            )
+    one = unit_ideal(f.ring)
+    lams = _candidates_in_interval(p, lo, hi, e_max, s_max)
+    drop = next(filter(None, (_drop_at(f, lam, one) for lam in lams)), None)
+    if drop is not None and drop.is_jump():
+        return drop
     return FptInterval(lo=lo, hi=hi)
-
-
-GRID_LIMIT = 2**40
 
 
 @per_call_digit_powers
@@ -324,26 +336,24 @@ def jumps_in_unit_interval(f: Polynomial, e_res: int, s_max: int = 4):
     Walks the monotone grid m -> (f^m)^[1/p^e_res] by divide-and-conquer
     (equal endpoint ideals certify a jump-free span), refines each dropping
     cell to depth e_res + 2 + s_max (one less where that power of p is
-    beyond GRID_LIMIT), and certifies candidates inside. Any
-    drop not explained by a certified candidate is emitted with status
-    "candidate" rather than suppressed.
+    beyond the root guard), and walks each deep cell's candidates with the
+    drop rule, from the grid ideal at its left end until tau reaches the
+    one at its right end. Any drop not explained by a certified candidate
+    is emitted with status "candidate" rather than suppressed.
     """
     _require_nonzero(f)
     _require_nonunit(f)
-    ring = f.ring
-    p = ring.p
-    if p**e_res > GRID_LIMIT:
-        raise ResourceLimit(f"grid p^{e_res} exceeds {GRID_LIMIT}")
+    p = f.ring.p
     a_max = e_res + 2
-    # refinement depth for candidate localization
-    deep = _capped_depth(p, a_max + s_max, GRID_LIMIT)
+    # refinement depth for candidate localization; its guard covers p^e_res
+    deep = _capped_depth(p, a_max + s_max)
 
     cache = {}
 
     def grid(m, depth):
         # tau(f^(m*p/p^(e+1))) = tau(f^(m/p^e)): key on the reduced exponent
-        # so that sub-cell endpoints reuse the coarse grid; mixed_root needs
-        # a depth of at least 1
+        # so that sub-cell endpoints reuse the coarse grid; the floor of
+        # depth 1 keeps the exponents 0 and 1 roots like every other probe
         while depth > 1 and m % p == 0:
             m, depth = m // p, depth - 1
         key = (m, depth)
@@ -367,66 +377,31 @@ def jumps_in_unit_interval(f: Polynomial, e_res: int, s_max: int = 4):
             spans += [(mid, hi), (lo, mid)]
 
     results = []
-    top = p**e_res
-    for m in drop_cells(0, top, e_res):
-        scale = p ** (deep - e_res)
-        sub_lo, sub_hi = (m - 1) * scale, m * scale
-        for m2 in drop_cells(sub_lo, sub_hi, deep):
-            left_val = grid(m2 - 1, deep)
-            right_val = grid(m2, deep)
-            cell_lo = Fraction(m2 - 1, p**deep)
-            cell_hi = Fraction(m2, p**deep)
-            if cell_lo >= 1:
-                continue
-            # the jump at exactly 1 is excluded from the open interval;
-            # compare against the left limit at 1 instead
-            if cell_hi >= 1:
-                cell_hi = Fraction(1)
-                right_val = tau_left(f, 1)
-                if ideal_equal(left_val, right_val):
-                    continue
-            candidates = _candidates_in_interval(p, cell_lo, cell_hi, a_max, s_max)
-            if cell_hi < 1 and cell_hi not in candidates:
-                candidates.append(cell_hi)  # deep pure p-power endpoint
-            current = left_val
-            marker = cell_lo
-            for lam in candidates:
-                if lam >= 1:
-                    continue
-                if ideal_equal(current, right_val):
+    scale = p ** (deep - e_res)
+    for m in drop_cells(0, p**e_res, e_res):
+        for m2 in drop_cells((m - 1) * scale, m * scale, deep):
+            below, end = grid(m2 - 1, deep), grid(m2, deep)
+            lo, hi = Fraction(m2 - 1, p**deep), Fraction(m2, p**deep)
+            lams = _candidates_in_interval(p, lo, hi, a_max, s_max)
+            if hi == 1:
+                # the jump at exactly 1 is outside the open interval: the
+                # cell ends at the left limit at 1 instead
+                lams = [lam for lam in lams if lam < 1]
+                end = tau_left(f, 1)
+            elif hi not in lams:
+                lams.append(hi)  # deep pure p-power endpoint
+            for lam in lams:
+                if ideal_equal(below, end):
                     break  # cell fully explained
-                at = tau(f, lam)
-                if ideal_equal(at, current):
-                    continue  # constant through lam: no jump here
-                left = tau_left(f, lam)
-                if ideal_equal(left, current):
-                    results.append(
-                        JumpCertificate(
-                            value=lam,
-                            tau_at=at,
-                            tau_left=left,
-                            status="certified-jump",
-                        )
-                    )
-                else:
-                    # a jump hides in (marker, lam) outside the family
-                    results.append(
-                        JumpCertificate(
-                            value=lam,
-                            tau_at=at,
-                            tau_left=left,
-                            status="candidate",
-                        )
-                    )
-                current = at
-                marker = lam
-            if not ideal_equal(current, right_val):
+                drop = _drop_at(f, lam, below)
+                if drop:
+                    results.append(drop)
+                    below = drop.tau_at
+            if not ideal_equal(below, end):
+                # a drop that no candidate explains
                 results.append(
                     JumpCertificate(
-                        value=cell_hi,
-                        tau_at=right_val,
-                        tau_left=current,
-                        status="candidate",
+                        value=hi, tau_at=end, tau_left=below, status="candidate"
                     )
                 )
     return results

@@ -126,6 +126,21 @@ def test_resource_limit_exit_2():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("depth", [
+    ["root", "-m", "1", "-e", "30000000"],
+    ["fpt", "--depth", "30000000"],
+    ["jumps", "--resolution-e", "30000000"],
+])
+def test_huge_depth_exits_2_without_forming_the_power(depth):
+    r = cli(depth[0], "-p", "3", "--vars", "x", "-f", "x", *depth[1:], timeout=10)
+    assert r.returncode == 2
+
+
+def test_root_depth_zero_is_rejected_by_its_flag():
+    r = cli("root", "-p", "3", "--vars", "x", "-f", "x", "-e", "0")
+    assert r.returncode == 1
+
+
 def test_internal_error_exit_3(monkeypatch):
     import charp.cli as cli_mod
 

@@ -1,6 +1,7 @@
 """Bracket powers and Frobenius root ideals."""
 
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from charp import (
     mixed_root,
     parse_poly,
     poly_pow,
+    pow_base_p,
     scale_ideal,
     unit_ideal,
 )
@@ -73,6 +75,28 @@ def test_root_power_guard():
         frob_root(ideal(R5, "x"), 60)
     with pytest.raises(ResourceLimit):
         mixed_root(parse_poly(R5, "x"), 3, unit_ideal(R5), 60)
+
+
+def test_root_power_guard_does_not_form_the_power():
+    # 3^(10^7) alone takes seconds to build; the guard compares depths
+    R3 = make_ring(3, ["x"])
+    start = time.process_time()
+    with pytest.raises(ResourceLimit):
+        mixed_root(parse_poly(R3, "x"), 0, unit_ideal(R3), 10**7)
+    assert time.process_time() - start < 0.5
+
+
+def test_depth_zero_is_the_identity_root():
+    f = parse_poly(R5, "x^2+y")
+    I = ideal(R5, "x*y", "y^2+1")
+    for m in (0, 1, 7):
+        assert mixed_root(f, m, I, 0) == scale_ideal(pow_base_p(f, m), I)
+    assert frob_root(I, 0) == I
+    assert bracket_power(I, 0) == I
+    for root in (lambda: mixed_root(f, 1, I, -1), lambda: frob_root(I, -1),
+                 lambda: bracket_power(I, -1)):
+        with pytest.raises(ValueError):
+            root()
 
 
 def random_poly(rng, ring, max_deg=4, max_terms=3):

@@ -9,19 +9,34 @@ interval fallback, recorded from the CLI before its command table.
 `tau_sides.json` holds the reduced bases of tau and tau_left and the
 is_fjumping status at every exponent in (0, 2] with denominator 1, p, p^2,
 p - 1, p(p - 1) or p^2 - 1, recorded while tau and its left limit still
-went through separate routines; rerecord with
-`PYTHONPATH=src python tests/test_golden.py`.
+went through separate routines. `search_calls.json` holds, for `fpt` and
+`jumps_in_unit_interval` on two quintic-degree forms, the ordered tau and
+tau_left calls each search makes, recorded before both searches shared one
+drop rule; the same calls mean the same work. Rerecord a file with
+`PYTHONPATH=src python tests/test_golden.py tau_sides.json` (or
+`search_calls.json`).
 """
 
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from charp import is_fjumping, make_ring, parse_poly, tau, tau_left
+import charp.testideal as testideal
+from charp import (
+    FptInterval,
+    fpt,
+    is_fjumping,
+    jumps_in_unit_interval,
+    make_ring,
+    parse_poly,
+    tau,
+    tau_left,
+)
 from charp.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,6 +98,63 @@ def test_tau_sides_match_recording(f, entry):
     assert _side_entry(f, Fraction(entry["lambda"])) == entry
 
 
+QUINTIC = "x^5+y^5+z^5"
+QUARTIC = "x^4+x*y^3+y^2*z^2+z^5"
+SEARCHES = (
+    [("jumps", QUINTIC, p, {"e_res": e}) for p, e in ((2, 3), (3, 2), (7, 3))]
+    + [("jumps", QUARTIC, p, {"e_res": 2}) for p in (2, 5)]
+    + [("fpt", f, p, {}) for f in (QUINTIC, QUARTIC) for p in (2, 3, 5, 7)]
+    + [("fpt", QUINTIC, 2, {"e_max": 1, "s_max": 2})]
+)
+
+
+def _search_entry(search, text, p, kwargs):
+    """The answer and the ordered (tau | tau_left, lambda) calls of one search."""
+    calls = []
+
+    def recording(name, side):
+        def wrapped(f, lam):
+            calls.append([name, str(Fraction(lam))])
+            return side(f, lam)
+
+        return wrapped
+
+    f = parse_poly(make_ring(p, ["x", "y", "z"]), text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(testideal, "tau", recording("tau", testideal.tau))
+        patch.setattr(testideal, "tau_left", recording("tau_left", testideal.tau_left))
+        if search == "jumps":
+            found = jumps_in_unit_interval(f, **kwargs)
+            result = [f"{c.value} {c.status}" for c in found]
+        else:
+            found = fpt(f, **kwargs)
+            if isinstance(found, FptInterval):
+                result = f"({found.lo}, {found.hi}]"
+            else:
+                result = f"{found.value} {found.status}"
+    return {"search": search, "f": text, "p": p, "kwargs": kwargs,
+            "result": result, "calls": calls}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(e, id=f"{e['search']}-{e['f']}-p{e['p']}-{e['kwargs']}")
+        for e in json.loads((GOLDEN / "search_calls.json").read_text())
+    ],
+)
+def test_search_calls_match_recording(entry):
+    args = entry["search"], entry["f"], entry["p"], entry["kwargs"]
+    assert _search_entry(*args) == entry
+
+
+RECORDERS = {
+    "tau_sides.json": _sides_table,
+    "search_calls.json": lambda: [_search_entry(*s) for s in SEARCHES],
+}
+
+
 if __name__ == "__main__":
-    text = json.dumps(_sides_table(), indent=1) + "\n"
-    (GOLDEN / "tau_sides.json").write_text(text)
+    for name in sys.argv[1:]:
+        text = json.dumps(RECORDERS[name](), indent=1) + "\n"
+        (GOLDEN / name).write_text(text)
