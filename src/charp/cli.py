@@ -5,9 +5,11 @@ Subcommands map onto the library API: `root` and `tau` print ideals; `fpt`,
 queries; `scan` sweeps a prime range and streams one record per prime and
 requested invariant.  Each subcommand is one entry of `COMMANDS`: its flags,
 its computation, its text rendering and, for the invariants `scan` can
-report, its scan row.  Rationals travel as "num/den" strings end to end, and
-JSON output is key-sorted with no timestamps, so repeated runs of the same
-job are byte identical.
+report, its scan row.  A job is the namespace build_parser().parse_args
+returns: argparse checks only its structure, and `run` converts each flag's
+text with that flag's own type.  Rationals travel as "num/den" strings end to
+end, and JSON output is key-sorted with no timestamps, so repeated runs of
+the same job are byte identical.
 
 Exit codes: 0 success, 1 usage or parse error, 2 resource limit, 3 internal
 error: a violated invariant or any other unexpected exception, reported in
@@ -23,7 +25,6 @@ import random
 import signal
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -37,30 +38,7 @@ from .testideal import FptInterval, fpt, jumps_in_unit_interval, tau
 
 CACHE_VERSION = "1"
 AUDIT_RATE = 0.05
-DEFAULT_TIMEOUT_SECS = 300
-
-
-@dataclass
-class JobSpec:
-    """One validated unit of work, independent of how it was requested."""
-
-    command: str
-    prime: int = 0
-    vars: tuple = ()
-    poly: str = ""
-    lam: Fraction = None
-    m: int = 1
-    n: int = 0
-    e: int = 1
-    resolution_e: int = 3
-    s_max: int = 4
-    depth: int = 4
-    primes: tuple = (0, -1)
-    report: tuple = ("fpt",)
-    fmt: str = "text"
-    cache_dir: str = None
-    timeout_secs: int = DEFAULT_TIMEOUT_SECS
-    threads: int = 1
+ALARM_MAX_SECS = 2**31 - 1  # the longest delay signal.alarm accepts
 
 
 def parse_rational(text: str) -> Fraction:
@@ -81,10 +59,7 @@ def parse_prime_range(text: str):
     lo, sep, hi = text.partition("..")
     if not sep:
         raise UsageError(f"prime range must look like lo..hi, got {text!r}")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise UsageError(f"prime range bounds must be integers, got {text!r}") from None
+    return int(lo), int(hi)
 
 
 def parse_reports(text: str):
@@ -97,6 +72,13 @@ def parse_reports(text: str):
                 f"unknown report {name!r}; choose from {', '.join(SCAN_REPORTS)}"
             )
     return names
+
+
+def parse_timeout(text: str) -> int:
+    secs = int(text)
+    if secs > ALARM_MAX_SECS:
+        raise UsageError(f"--timeout-secs must be at most {ALARM_MAX_SECS}")
+    return secs
 
 
 def ideal_payload(I) -> dict:
@@ -191,11 +173,12 @@ def cached_compute(job, ring, f, op, params, compute):
 
 
 class Flag(NamedTuple):
-    """One command-line flag and the JobSpec field it fills.
+    """One command-line flag and the job attribute `dest` it fills.
 
-    `type` turns the text into a value and may raise UsageError; a value
-    below `minimum` (0 or 1) is rejected.  A flag with a `key` parametrizes
-    a computation: the value goes into its cache key under that name.  A
+    argparse only collects the flag's text; `convert` turns it into a value
+    with `type`, which may raise UsageError or ValueError, and rejects a
+    value below `minimum` (0 or 1).  A flag with a `key` parametrizes a
+    computation: the value goes into its cache key under that name.  A
     callable default is read when the parser is built.
     """
 
@@ -213,15 +196,23 @@ class Flag(NamedTuple):
         default = self.default() if callable(self.default) else self.default
         help = self.help if default is None else f"{self.help} (default {default})"
         parser.add_argument(
-            *self.names, dest=self.dest, type=self.type, default=default,
+            *self.names, dest=self.dest, default=default,
             required=self.required, choices=self.choices, help=help,
         )
 
-    def checked(self, value):
+    def convert(self, job):
+        """Replace the flag's text on job by its checked value.  A value that
+        is not text (a default, or one already converted) is only checked."""
+        value = getattr(job, self.dest)
+        if isinstance(value, str):
+            try:
+                value = self.type(value)
+            except ValueError:
+                raise UsageError(f"invalid {self.names[-1]} value: {value!r}") from None
         if self.minimum is not None and value < self.minimum:
             rule = "positive" if self.minimum else "non-negative"
             raise UsageError(f"{self.names[-1]} must be {rule}")
-        return value
+        setattr(job, self.dest, value)
 
 
 PRIME = Flag(("-p", "--prime"), "prime", "prime characteristic", required=True)
@@ -252,7 +243,7 @@ REPORTS = Flag(("--report",), "report", "comma-separated invariants, e.g. fpt,hs
 SCAN_FORMAT = Flag(("--format",), "fmt", "output format", type=str, default="csv",
                    choices=("csv", "json"))
 TIMEOUT = Flag(("--timeout-secs",), "timeout_secs", "per-prime budget",
-               default=DEFAULT_TIMEOUT_SECS, minimum=1)
+               type=parse_timeout, default=300, minimum=1)
 THREADS = Flag(("--threads",), "threads", "worker processes", default=1, minimum=1)
 
 
@@ -417,14 +408,11 @@ def scan_prime(job):
     return rows
 
 
-def _scan_row(prime, invariant, value, status, wall_ms):
-    return {
-        "prime": prime,
-        "invariant": invariant,
-        "value": value,
-        "status": status,
-        "wall_ms": wall_ms,
-    }
+SCAN_FIELDS = ("prime", "invariant", "value", "status", "wall_ms")
+
+
+def _scan_row(*values):
+    return dict(zip(SCAN_FIELDS, values))
 
 
 def run_scan(job, out) -> int:
@@ -435,25 +423,23 @@ def run_scan(job, out) -> int:
 
     writer = None
     if job.fmt == "csv":
-        writer = csv.DictWriter(
-            out, fieldnames=["prime", "invariant", "value", "status", "wall_ms"]
-        )
+        writer = csv.DictWriter(out, fieldnames=SCAN_FIELDS)
         writer.writeheader()
 
-    tasks = [replace(job, prime=q) for q in primes]
-    if job.threads > 1:
+    tasks = [argparse.Namespace(**{**vars(job), "prime": q}) for q in primes]
+    threads = min(job.threads, len(primes))
+    if threads > 1:
         import multiprocessing  # only threaded scans pay for this import
 
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(job.threads) as pool:
-            results = pool.imap(scan_prime, tasks)
-            failed = _emit_scan_rows(results, job, out, writer)
+        with ctx.Pool(threads) as pool:
+            failed = _emit_scan_rows(pool.imap(scan_prime, tasks), out, writer)
     else:
-        failed = _emit_scan_rows(map(scan_prime, tasks), job, out, writer)
+        failed = _emit_scan_rows(map(scan_prime, tasks), out, writer)
     return 2 if failed == len(primes) else 0
 
 
-def _emit_scan_rows(results, job, out, writer) -> int:
+def _emit_scan_rows(results, out, writer) -> int:
     failed = 0
     for rows in results:
         if all(row["status"].split(":")[0] in ("timeout", "resource-limit", "error")
@@ -490,20 +476,15 @@ def build_parser():
     return top
 
 
-def job_from_args(args) -> JobSpec:
-    flags = COMMANDS[args.command].flags
-    return JobSpec(
-        command=args.command, **{fl.dest: getattr(args, fl.dest) for fl in flags}
-    )
-
-
-def run(job: JobSpec, out=None, err=None) -> int:
-    """Execute one job, writing results to out and diagnostics to err."""
+def run(job, out=None, err=None) -> int:
+    """Execute the job that build_parser().parse_args returned, writing
+    results to out and diagnostics to err.  Every flag's text is converted
+    and checked on job first, so a bad value fails like any usage error."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
         for flag in COMMANDS[job.command].flags:
-            flag.checked(getattr(job, flag.dest))
+            flag.convert(job)
         if job.command == "scan":
             return run_scan(job, out)
         payload = _payload(job.command, job)
@@ -532,10 +513,8 @@ def _report_error(job, out, err, message):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        job = job_from_args(args)
+        job = build_parser().parse_args(argv)
     except UsageError as exc:
         sys.stderr.write(f"charp: {exc}\n")
         return 1

@@ -43,6 +43,7 @@ from .errors import (
     ChainNotMonotone,
     CharpError,
     OutOfInterval,
+    ResourceLimit,
     UnitPolynomial,
     ZeroPolynomial,
 )
@@ -52,12 +53,19 @@ from .frobenius import _check_root_guard, _max_root_depth, mixed_root
 from .hsl import hsl_upper_bound
 
 
-def multiplicative_order(x: int, modulus: int) -> int:
+def multiplicative_order(x: int, modulus: int, limit: int = None) -> int:
+    """The least s >= 1 with x^s = 1 mod modulus.
+
+    With a limit, an order beyond it raises ResourceLimit after fewer than
+    limit multiplications, so a huge modulus costs no more than the limit.
+    """
     if modulus == 1:
         return 1
     x %= modulus
     value, order = x, 1
     while value != 1:
+        if order == limit:
+            raise ResourceLimit(f"the order of {x} mod {modulus} exceeds {limit}")
         value = value * x % modulus
         order += 1
         if order > modulus:
@@ -77,7 +85,8 @@ class PFracForm:
         return Fraction(self.r, p**self.a * (p**self.s - 1))
 
 
-def pfrac_form(lam: Fraction, p: int) -> PFracForm:
+def pfrac_form(lam: Fraction, p: int, s_limit: int = None) -> PFracForm:
+    """The form of lam; a period s beyond s_limit raises ResourceLimit."""
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("exponent must be positive")
@@ -86,7 +95,7 @@ def pfrac_form(lam: Fraction, p: int) -> PFracForm:
     while den % p == 0:
         den //= p
         a += 1
-    s = multiplicative_order(p, den) if den > 1 else 1
+    s = multiplicative_order(p, den, s_limit) if den > 1 else 1
     scaled = lam * p**a * (p**s - 1)
     assert scaled.denominator == 1
     return PFracForm(r=int(scaled), a=a, s=s)
@@ -152,6 +161,7 @@ def cartier_chain(f: Polynomial, r: int, s: int, seed: Ideal) -> Ideal:
     hsl_upper_bound(n, B) steps. A chain still moving there contradicts
     the bound: an internal error.
     """
+    _check_root_guard(f.ring.p, s)
     q = f.ring.p**s - 1
     degree = max((g.total_degree() for g in seed.gens), default=0)
     bound = hsl_upper_bound(
@@ -192,7 +202,8 @@ def _tau_side(f: Polynomial, lam, left: bool) -> Ideal:
     ring = f.ring
     if f.is_unit() or lam == 0:
         return unit_ideal(ring)
-    form = pfrac_form(lam, ring.p)
+    # the period s is a root depth: bound it before p^s is formed
+    form = pfrac_form(lam, ring.p, s_limit=_max_root_depth(ring.p))
     q = ring.p**form.s - 1
     k, t = divmod(form.r, q)
     if left and t == 0:
@@ -250,6 +261,7 @@ def nu(f: Polynomial, e: int) -> NuValue:
     _require_nonzero(f)
     _require_nonunit(f)
     p = f.ring.p
+    _check_root_guard(p, e)
     lo, hi = 0, p**e  # root(lo) unit, root(hi) proper
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -268,8 +280,6 @@ def _candidates_in_interval(p, lo: Fraction, hi: Fraction, a_max, s_max):
             den = p**a * (p**s - 1)
             r_lo = int(lo * den)  # r > lo*den
             r_hi = int(hi * den)  # r <= hi*den
-            if Fraction(r_hi, den) > hi:
-                r_hi -= 1
             for r in range(r_lo + 1, r_hi + 1):
                 values.add(Fraction(r, den))
     return sorted(values)
@@ -432,6 +442,7 @@ def gap_certificate(f: Polynomial, r: int, e: int, d: int) -> GapClaim | None:
     equals the left limit tau_left(f, lam); then no jump lies in between.
     """
     p = f.ring.p
+    _check_root_guard(p, max(e, d * e))
     q = p**e - 1
     lam = Fraction(r, q)
     m = r * (p ** (d * e) - 1) // q

@@ -2,18 +2,19 @@
 
 import io
 import json
+import multiprocessing
 import subprocess
 import sys
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from charp import CharpError
 from charp.cli import (
-    JobSpec,
     build_parser,
     cache_key,
     cache_path,
-    job_from_args,
     main,
     parse_prime_range,
     parse_rational,
@@ -33,7 +34,7 @@ def cli(*args, timeout=240):
 
 def run_job(*args):
     out, err = io.StringIO(), io.StringIO()
-    job = job_from_args(build_parser().parse_args(list(args)))
+    job = build_parser().parse_args(list(args))
     code = run(job, out, err)
     return code, out.getvalue(), err.getvalue()
 
@@ -121,6 +122,37 @@ def test_json_error_payload():
         assert r.stderr.startswith("charp:")
 
 
+@pytest.mark.parametrize("args", [
+    ["tau", "-p", "7", "--vars", "x", "-f", "x", "--lambda", "1/0"],
+    ["fpt", "-p", "7", "--vars", "x", "-f", "x", "--depth", "abc"],
+    ["hsl", "-p", "x", "--vars", "x", "-f", "x"],
+    ["scan", "--primes", "2-9", "--vars", "x", "-f", "x"],
+    ["scan", "--primes", "2..9", "--vars", "x", "-f", "x", "--report", "zeta"],
+    ["scan", "--primes", "2..3", "--vars", "x", "-f", "x",
+     "--timeout-secs", "99999999999"],
+], ids=["lambda", "depth", "prime", "primes", "report", "timeout-secs"])
+def test_bad_flag_values_print_one_json_error(args):
+    code, out, err = run_job(*args, "--format", "json")
+    assert code == 1
+    assert err.startswith("charp:")
+    assert len(out.splitlines()) == 1
+    assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("p,lam", [("3", "1/10000019"), ("2", "1/1099511627689")])
+def test_huge_denominator_exits_2_at_once(p, lam, fmt):
+    # the order of p modulo the denominator exceeds the largest root depth
+    start = time.monotonic()
+    r = cli("tau", "-p", p, "--vars", "x", "-f", "x", "--lambda", lam,
+            "--format", fmt, timeout=10)
+    assert time.monotonic() - start < 1
+    assert r.returncode == 2
+    assert r.stderr.startswith("charp:")
+    if fmt == "json":
+        assert set(json.loads(r.stdout)) == {"error"}
+
+
 def test_resource_limit_exit_2():
     r = cli("root", "-p", "7", "--vars", "x", "-f", "x", "-m", "1", "-e", "99")
     assert r.returncode == 2
@@ -150,8 +182,7 @@ def test_internal_error_exit_3(monkeypatch):
     hsl = cli_mod.COMMANDS["hsl"]._replace(compute=boom)
     monkeypatch.setitem(cli_mod.COMMANDS, "hsl", hsl)
     out, err = io.StringIO(), io.StringIO()
-    job = job_from_args(build_parser().parse_args(
-        ["hsl", "-p", "7", *QUINTIC_ARGS]))
+    job = build_parser().parse_args(["hsl", "-p", "7", *QUINTIC_ARGS])
     assert run(job, out, err) == 3
     assert "invariant violated" in err.getvalue()
 
@@ -166,8 +197,7 @@ def test_stray_exception_exit_3(monkeypatch, fmt):
     hsl = cli_mod.COMMANDS["hsl"]._replace(compute=boom)
     monkeypatch.setitem(cli_mod.COMMANDS, "hsl", hsl)
     out, err = io.StringIO(), io.StringIO()
-    job = job_from_args(build_parser().parse_args(
-        ["hsl", "-p", "7", *QUINTIC_ARGS, "--format", fmt]))
+    job = build_parser().parse_args(["hsl", "-p", "7", *QUINTIC_ARGS, "--format", fmt])
     assert run(job, out, err) == 3
     message = "internal error: RuntimeError('boom\\nsecond line')"
     assert err.getvalue() == f"charp: {message}\n"
@@ -228,6 +258,84 @@ def test_scan_records_timeout():
     assert row.startswith("19,jumps,,timeout")
 
 
+def test_scan_jumps_rows():
+    # certified when every jump is, else candidate (x^17 at p = 2 ends in
+    # an end-of-cell candidate at 1)
+    code, out, _ = run_job("scan", "--primes", "2..3", *QUINTIC_ARGS, "--report", "jumps")
+    assert code == 0
+    assert [line.split(",")[:4] for line in out.splitlines()[1:]] == [
+        ["2", "jumps", "1/4;1/2;3/4", "certified"],
+        ["3", "jumps", "1/3;2/3;8/9", "certified"],
+    ]
+    code, out, _ = run_job("scan", "--primes", "2..2", "--vars", "x", "-f", "x^17",
+                           "--report", "jumps", "--resolution-e", "1", "--s-max", "1")
+    assert code == 0
+    value, status = out.splitlines()[1].split(",")[2:4]
+    assert value.endswith(";15/16;1") and status == "candidate"
+
+
+def test_scan_fpt_interval_row():
+    code, out, _ = run_job("scan", "--primes", "2..2", *QUINTIC_ARGS,
+                           "--depth", "1", "--s-max", "2")
+    assert code == 0
+    assert out.splitlines()[1].startswith("2,fpt,1/8..1/4,interval,")
+
+
+def test_scan_timeout_marks_later_reports(monkeypatch):
+    import charp.cli as cli_mod
+
+    def slow(ring, f, job):
+        time.sleep(10)
+
+    hsl = cli_mod.COMMANDS["hsl"]._replace(compute=slow)
+    monkeypatch.setitem(cli_mod.COMMANDS, "hsl", hsl)
+    code, out, _ = run_job("scan", "--primes", "7..7", *QUINTIC_ARGS,
+                           "--report", "hsl,fpt", "--timeout-secs", "1",
+                           "--format", "json")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 2
+    assert [(r["invariant"], r["status"]) for r in rows] == [
+        ("hsl", "timeout"), ("fpt", "timeout")]
+    assert rows[1]["wall_ms"] == 0
+
+
+def test_scan_resource_limit_rows():
+    code, out, _ = run_job("scan", "--primes", "2..5", "--vars", "x", "-f", "x",
+                           "--report", "fpt", "--depth", "100")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 2
+    assert [row[0] for row in rows] == ["2", "3", "5"]
+    assert all(row[3].startswith("resource-limit: ") for row in rows)
+
+
+def test_scan_pool_is_sized_to_the_primes(monkeypatch):
+    # a fake context records the pool size and runs the tasks in-process
+    sizes = []
+
+    class Pool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    code, out, _ = run_job("scan", "--primes", "2..5", "--vars", "x", "-f", "x",
+                           "--report", "hsl", "--threads", "8")
+    assert code == 0 and sizes == [3]
+    assert len(out.splitlines()) == 4
+    code, _, _ = run_job("scan", "--primes", "7..7", "--vars", "x", "-f", "x",
+                         "--report", "hsl", "--threads", "8")
+    assert code == 0 and sizes == [3]  # one prime needs no pool
+
+
 def test_scan_failure_rows_keep_going():
     # 5*x collapses to zero mod 5: that prime fails, the others still report
     r = cli("scan", "--primes", "3..7", "--vars", "x", "-f", "5*x+x^2",
@@ -276,9 +384,9 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_audit_detects_poison(tmp_path, monkeypatch):
-    job = job_from_args(build_parser().parse_args(
+    job = build_parser().parse_args(
         ["tau", "-p", "7", *QUINTIC_ARGS, "--lambda", "6/7",
-         "--cache-dir", str(tmp_path)]))
+         "--cache-dir", str(tmp_path)])
     assert run(job, io.StringIO(), io.StringIO()) == 0
     path = cache_path(str(tmp_path), 7, ("x", "y", "z"), "x^5 + y^5 + z^5")
     entries = json.loads(open(path).read())
@@ -295,8 +403,7 @@ def test_cache_audit_detects_poison(tmp_path, monkeypatch):
 
 def test_env_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("CHARP_CACHE_DIR", str(tmp_path))
-    job = job_from_args(build_parser().parse_args(
-        ["hsl", "-p", "7", *QUINTIC_ARGS]))
+    job = build_parser().parse_args(["hsl", "-p", "7", *QUINTIC_ARGS])
     assert job.cache_dir == str(tmp_path)
     assert run(job, io.StringIO(), io.StringIO()) == 0
     assert list(tmp_path.iterdir())
@@ -306,11 +413,6 @@ def test_repeated_json_runs_byte_identical():
     a = cli("jumps", "-p", "7", *QUINTIC_ARGS, "--format", "json")
     b = cli("jumps", "-p", "7", *QUINTIC_ARGS, "--format", "json")
     assert a.stdout == b.stdout and a.stdout
-
-
-def test_jobspec_defaults():
-    job = JobSpec(command="hsl")
-    assert job.fmt == "text" and job.threads == 1
 
 
 def test_main_returns_usage_code():

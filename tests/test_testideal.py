@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -75,6 +76,48 @@ def test_pfrac_form_reconstructs(p):
         lam = Fraction(rng.randrange(1, 400), rng.randrange(1, 400))
         form = pfrac_form(lam, p)
         assert form.as_fraction(p) == lam
+
+
+def test_pfrac_form_period_limit():
+    # the form is exact for any period; a limit stops the order search
+    lam = Fraction(1, 379)
+    assert pfrac_form(lam, 2).as_fraction(2) == lam
+    assert pfrac_form(lam, 2).s > 40
+    with pytest.raises(ResourceLimit):
+        pfrac_form(lam, 2, s_limit=40)
+    assert testideal_module.multiplicative_order(2, 7, limit=3) == 3
+    with pytest.raises(ResourceLimit):
+        testideal_module.multiplicative_order(2, 7, limit=2)
+
+
+@pytest.mark.parametrize("side", [tau, tau_left])
+@pytest.mark.parametrize("p,den", [(3, 10000019), (2, 1099511627689)])
+def test_huge_period_fails_before_the_order_search(side, p, den):
+    # the order of p mod den is far beyond the largest root depth; finding
+    # it took seconds (p = 3) or longer than anyone waited (p = 2)
+    x = parse_poly(make_ring(p, ["x"]), "x")
+    start = time.process_time()
+    with pytest.raises(ResourceLimit):
+        side(x, Fraction(1, den))
+    assert time.process_time() - start < 0.5
+
+
+R3 = make_ring(3, ["x"])
+X3 = parse_poly(R3, "x")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cartier_chain(X3, 1, 10**7, unit_ideal(R3)),
+    lambda: nu(X3, 10**7),
+    lambda: gap_certificate(X3, 1, 10**7, 1),
+    lambda: gap_certificate(X3, 1, 1, 10**7),
+], ids=["cartier_chain", "nu", "gap_certificate-e", "gap_certificate-d"])
+def test_depth_guard_fires_before_the_power(call):
+    # 3^(10^7) alone takes seconds to build
+    start = time.process_time()
+    with pytest.raises(ResourceLimit):
+        call()
+    assert time.process_time() - start < 0.5
 
 
 def test_tau_ppower_monomial_rule():
@@ -214,6 +257,18 @@ def test_jumps_quintic_small_primes(p, e_res, expected):
     assert all(c.status == "certified-jump" for c in certs)
     values = [c.value for c in certs]
     assert values == sorted(values)
+
+
+def test_jumps_end_of_cell_candidate():
+    # x^17 over F_2 at e_res 1, s_max 1: the last deep cell (15/16, 1] holds
+    # the jump 16/17, which no candidate r/2^a (a <= 3) reaches, so the
+    # cell ends in a candidate at 1 with the left limit of tau there
+    R = make_ring(2, ["x"])
+    f = parse_poly(R, "x^17")
+    last = jumps_in_unit_interval(f, 1, s_max=1)[-1]
+    assert (last.value, last.status) == (1, "candidate")
+    assert ideal_equal(last.tau_at, tau_left(f, 1))
+    assert ideal_equal(last.tau_left, ideal(R, "x^15"))
 
 
 def test_jumps_monomial_none_below_one():
