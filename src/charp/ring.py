@@ -7,19 +7,24 @@ ring's monomial order, so two polynomials are equal iff their term tuples
 are identical. The zero polynomial is the empty term tuple.
 
 All values behave as immutable; every operation is a pure function. Besides
-its terms, a Polynomial carries one piece of state: the memo behind
-digit_power, the powers f^0, ..., f^r for base-p digits r < p, grown on
-demand. It is a pure cache that never shows through ==, hash or terms, and
-pickling leaves it out. It holds at most the terms of f^0, ..., f^(p-1),
-each f^r at most C(n + r*deg f, n) of them in n variables: for
-x^4+x*y^3+y^2*z^2+z^5 that is 7,315 terms (1 MiB) at p = 19, but 230,300
-terms (28 MiB, 13 s to build) at p = 47.
+its terms, a Polynomial carries two memos, its per-call state:
 
-The functions that use the memo are decorated with per_call_digit_powers:
-the outermost such call works on a fresh copy of f, which every call nested
-in it shares and which is dropped when it returns. A computation thus
-builds each f^r once, the caller's f never holds a memo, and charp keeps no
-state between calls. Only a direct f.digit_power(r) fills f's own memo.
+  * the memo behind digit_power, the powers f^0, ..., f^r for base-p digits
+    r < p, grown on demand. It holds at most the terms of f^0, ..., f^(p-1),
+    each f^r at most C(n + r*deg f, n) of them in n variables: for
+    x^4+x*y^3+y^2*z^2+z^5 that is 7,315 terms (1 MiB) at p = 19, but
+    230,300 terms (28 MiB, 13 s to build) at p = 47.
+  * the root levels of frobenius.mixed_root: (f^r * J)^[1/p] keyed by the
+    digit r and the generator terms of J. Test-ideal chains stabilize, so
+    one search takes the same few levels over and over.
+
+Both are pure caches that never show through ==, hash or terms, and
+pickling leaves them out. The functions that use them are decorated with
+per_call_digit_powers: the outermost such call works on a fresh copy of f,
+which every call nested in it shares and which is dropped when it returns.
+A computation thus builds each f^r and each root level once, the caller's
+f never holds a memo, and charp keeps no state between calls. Only a
+direct f.digit_power(r) fills f's own memo.
 
 Exponents and coefficients are arbitrary-precision ints throughout:
 Frobenius powers multiply exponents by p^e, which overflows any fixed width
@@ -173,12 +178,13 @@ def _check_same_ring(a, b):
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_digit_powers")
+    __slots__ = ("ring", "terms", "_digit_powers", "_root_levels")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
         self._digit_powers = None
+        self._root_levels = None  # filled by frobenius.mixed_root
 
     def __bool__(self):
         return bool(self.terms)
@@ -194,7 +200,7 @@ class Polynomial:
         return hash((self.ring, self.terms))
 
     def __reduce__(self):
-        # the digit-power memo is a cache: pickle the value alone
+        # the memos are caches: pickle the value alone
         return (Polynomial, (self.ring, self.terms))
 
     def is_unit(self):
@@ -332,10 +338,10 @@ _IN_CALL = ContextVar("charp_in_call", default=False)
 
 
 def per_call_digit_powers(fn):
-    """Run fn(f, ...) on a copy of f whose digit-power memo lasts one call.
+    """Run fn(f, ...) on a copy of f whose memos last one call.
 
     Only the outermost decorated call copies f; the calls nested in it get
-    that copy and share its memo.
+    that copy and share its digit powers and root levels.
     """
 
     @functools.wraps(fn)

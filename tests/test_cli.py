@@ -251,11 +251,13 @@ def test_scan_empty_range_is_silent():
 
 
 def test_scan_records_timeout():
-    r = cli("scan", "--primes", "19..19", *QUINTIC_ARGS,
-            "--report", "jumps", "--timeout-secs", "1")
+    # fpt of this quartic at p = 47 runs far past one second
+    r = cli("scan", "--primes", "47..47", "--vars", "x,y,z",
+            "-f", "x^4+x*y^3+y^2*z^2+z^5", "--report", "fpt",
+            "--timeout-secs", "1")
     assert r.returncode == 2
     row = r.stdout.strip().splitlines()[1]
-    assert row.startswith("19,jumps,,timeout")
+    assert row.startswith("47,fpt,,timeout")
 
 
 def test_scan_jumps_rows():
@@ -395,7 +397,7 @@ def test_cache_audit_detects_poison(tmp_path, monkeypatch):
     with open(path, "w") as fh:
         json.dump(entries, fh)
     import charp.cli as cli_mod
-    monkeypatch.setattr(cli_mod.random, "random", lambda: 0.0)  # force audit
+    monkeypatch.setattr(cli_mod, "AUDIT_RATE", 1)  # audit every hit
     out, err = io.StringIO(), io.StringIO()
     assert run(job, out, err) == 3
     assert "audit" in err.getvalue()

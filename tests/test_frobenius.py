@@ -2,14 +2,19 @@
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
+import charp.frobenius as frobenius
+import charp.testideal as testideal
 from charp.groebner import canonical_ideal
+from charp.ring import per_call_digit_powers
 from charp import (
     Ideal,
     ResourceLimit,
     bracket_power,
+    cartier_chain,
     frob_root,
     ideal_equal,
     ideal_subset,
@@ -153,6 +158,63 @@ def test_mixed_root_matches_direct_root(p, nvars, seed, iters, m_hi):
             assert got.canon() == direct.gens
             if m < p**e:
                 assert got.gens == direct.gens
+
+
+def levels_one_by_one(f, m, I, e):
+    """mixed_root's levels applied through _root_level, with no memo."""
+    J = I
+    for _ in range(e):
+        m, r = divmod(m, f.ring.p)
+        J = frobenius._root_level(poly_pow(f, r), J)
+    return scale_ideal(poly_pow(f, m), J) if m else J
+
+
+@per_call_digit_powers
+def roots_in_one_call(f, cases):
+    # one outermost call, so every root shares the level memo
+    return [mixed_root(f, m, I, e) for m, I, e in cases]
+
+
+@pytest.mark.parametrize("p,seed", [(2, 20), (3, 21), (5, 22), (7, 23)])
+def test_memoized_levels_match_levels_one_by_one(p, seed):
+    # each case twice and the roots of the first results again, so that
+    # most levels come from the memo
+    rng = random.Random(seed)
+    ring = make_ring(p, ["x", "y", "z"])
+    for _ in range(4):
+        f = random_poly(rng, ring)
+        if not f:
+            continue
+        cases = [(rng.randrange(0, p**2), I, rng.randrange(1, 3))
+                 for I in root_level_inputs(rng, ring)]
+        first = roots_in_one_call(f, cases)
+        cases += cases + [(m, J, e) for (m, _, e), J in zip(cases, first)]
+        got = roots_in_one_call(f, cases)
+        for (m, I, e), root in zip(cases, got):
+            assert root.gens == levels_one_by_one(f, m, I, e).gens
+
+
+def test_chain_takes_each_level_once(monkeypatch):
+    # the chain asks for some levels more than once; each distinct
+    # (f^r, J) reaches _root_level once
+    R = make_ring(7, ["x", "y", "z"])
+    f = parse_poly(R, "x^5+y^5+z^5")
+    levels, real_level = Counter(), frobenius._root_level
+    asked, real_root = [], testideal.mixed_root
+
+    def root_level(fr, J):
+        levels[fr.terms, tuple(g.terms for g in J.gens)] += 1
+        return real_level(fr, J)
+
+    def mixed_root(g, m, I, e):
+        asked.append(e)
+        return real_root(g, m, I, e)
+
+    monkeypatch.setattr(frobenius, "_root_level", root_level)
+    monkeypatch.setattr(testideal, "mixed_root", mixed_root)
+    cartier_chain(f, 1, 3, Ideal(R, [f]))
+    assert set(levels.values()) == {1}
+    assert sum(asked) > len(levels)
 
 
 @pytest.mark.parametrize("p,seed", [(2, 10), (5, 11), (7, 12)])

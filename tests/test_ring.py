@@ -16,10 +16,12 @@ from charp import (
     frob_power,
     is_prime,
     make_ring,
+    mixed_root,
     parse_poly,
     poly_mul,
     poly_pow,
     pow_base_p,
+    unit_ideal,
 )
 
 
@@ -236,10 +238,18 @@ def test_digit_power_rejects_non_digits(r):
         f.digit_power(r)
 
 
+def fill_memos(f):
+    # mixed_root's undecorated body fills the root-level memo of the very
+    # f it gets, as it does for the per-call copy
+    f.digit_power(f.ring.p - 1)
+    mixed_root.__wrapped__(f, f.ring.p + 1, unit_ideal(f.ring), 2)
+    assert f._digit_powers and f._root_levels
+
+
 def test_digit_power_memo_is_invisible():
     R = make_ring(7, ["x", "y"])
     f, g = parse_poly(R, "x^3 + y"), parse_poly(R, "x^3 + y")
-    f.digit_power(6)
+    fill_memos(f)
     assert f == g and hash(f) == hash(g) and f.terms == g.terms
     assert {f: 1}[g] == 1
 
@@ -248,8 +258,9 @@ def test_ring_and_memoized_polynomial_pickle():
     R = make_ring(5, ["x", "y"], order="lex")
     assert pickle.loads(pickle.dumps(R)) == R
     f = parse_poly(R, "x*y + y^2 + 2")
-    f.digit_power(4)
+    fill_memos(f)
     g = pickle.loads(pickle.dumps(f))
     assert g == f and g.ring.order == "lex"
-    assert g._digit_powers is None  # the memo is a cache, not pickled state
+    # the memos are caches, not pickled state
+    assert g._digit_powers is None and g._root_levels is None
     assert g.digit_power(4) == f**4

@@ -314,9 +314,9 @@ def test_jumps_grid_reuses_coarse_cells(monkeypatch):
 
 
 def test_calls_keep_no_digit_power_memo(monkeypatch):
-    # the outermost call works on a private copy of f whose memo every
-    # nested call shares, so a repeated call does the same work and the
-    # caller's f never holds a memo
+    # the outermost call works on a private copy of f whose memos (digit
+    # powers and root levels) every nested call shares, so a repeated call
+    # does the same work and the caller's f never holds a memo
     products, owners = [], set()
     real_mul, real_digit_power = Polynomial.__mul__, Polynomial.digit_power
 
@@ -331,15 +331,22 @@ def test_calls_keep_no_digit_power_memo(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", mul)
     monkeypatch.setattr(Polynomial, "digit_power", digit_power)
     f = parse_poly(make_ring(5, ["x", "y"]), "x^3+y^2")
-    counts = []
-    for _ in range(2):
-        products.clear()
-        owners.clear()
-        assert fpt(f).value == Fraction(4, 5)
-        counts.append(len(products))
-        assert len(owners) == 1 and id(f) not in owners
-        assert f._digit_powers is None
-    assert counts[0] == counts[1]
+    calls = {
+        "fpt": lambda: fpt(f).value,
+        "tau": lambda: tau(f, Fraction(3, 4)).canon(),
+        "jumps": lambda: [c.value for c in jumps_in_unit_interval(f, 2)],
+    }
+    for name, call in calls.items():
+        counts, results = [], []
+        for _ in range(2):
+            products.clear()
+            owners.clear()
+            results.append(call())
+            counts.append(len(products))
+            assert len(owners) == 1 and id(f) not in owners, name
+            assert f._digit_powers is None and f._root_levels is None, name
+        assert counts[0] == counts[1] and results[0] == results[1], name
+    assert calls["fpt"]() == Fraction(4, 5)
 
 
 def cubic_hasse_invariant(p):
