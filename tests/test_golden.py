@@ -12,20 +12,27 @@ p - 1, p(p - 1) or p^2 - 1, recorded while tau and its left limit still
 went through separate routines. `search_calls.json` holds, for `fpt` and
 `jumps_in_unit_interval` on two quintic-degree forms, the ordered tau and
 tau_left calls each search makes, recorded before both searches shared one
-drop rule; the same calls mean the same work. Rerecord a file with
+drop rule; the same calls mean the same work. `scan_rows.json` holds the
+rows, without `wall_ms`, of two `charp scan` runs in CSV and JSON, each a
+cold and a warm pass on one fresh cache directory with every warm hit
+audited, recorded while each report at a prime still parsed f and built its
+digit powers on its own. Rerecord a file with
 `PYTHONPATH=src python tests/test_golden.py tau_sides.json` (or
-`search_calls.json`).
+`search_calls.json`, `scan_rows.json`).
 """
 
 import contextlib
+import csv
 import io
 import json
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import charp.cli as cli
 import charp.testideal as testideal
 from charp import (
     FptInterval,
@@ -148,9 +155,48 @@ def test_search_calls_match_recording(entry):
     assert _search_entry(*args) == entry
 
 
+SCANS = (
+    ["--primes", "2..19", "-f", "x^3+y^3+z^3", "--report", "fpt,hsl"],
+    ["--primes", "2..7", "-f", QUINTIC, "--report", "fpt,hsl,jumps"],
+)
+
+
+def _scan_entry(args, fmt):
+    """Exit codes and rows (without wall_ms) of a cold and a warm scan on
+    one fresh cache directory, auditing every warm hit."""
+    passes = []
+    with tempfile.TemporaryDirectory() as cache_dir, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "AUDIT_RATE", 1)
+        argv = ["scan", "--vars", "x,y,z", *args, "--format", fmt, "--cache-dir", cache_dir]
+        for _ in range(2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            text = out.getvalue()
+            if fmt == "csv":
+                rows = list(csv.DictReader(io.StringIO(text)))
+            else:
+                rows = [json.loads(line) for line in text.splitlines()]
+            rows = [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+            passes.append({"exit": code, "rows": rows})
+    return {"args": args, "format": fmt, "passes": passes}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(e, id=f"{e['format']}-{' '.join(e['args'])}")
+        for e in json.loads((GOLDEN / "scan_rows.json").read_text())
+    ],
+)
+def test_scan_rows_match_recording(entry):
+    assert _scan_entry(entry["args"], entry["format"]) == entry
+
+
 RECORDERS = {
     "tau_sides.json": _sides_table,
     "search_calls.json": lambda: [_search_entry(*s) for s in SEARCHES],
+    "scan_rows.json": lambda: [_scan_entry(a, fmt) for a in SCANS for fmt in ("csv", "json")],
 }
 
 
