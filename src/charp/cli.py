@@ -17,6 +17,7 @@ one line without a traceback.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -33,7 +34,7 @@ from .frobenius import mixed_root
 from .groebner import buchberger, unit_ideal
 from .hsl import hsl_number
 from .lucas import binom_mod_p
-from .ring import is_prime, make_ring, parse_poly
+from .ring import is_prime, make_ring, parse_poly, per_call_digit_powers
 from .testideal import FptInterval, fpt, jumps_in_unit_interval, tau
 
 CACHE_VERSION = "1"
@@ -136,9 +137,15 @@ def _store_cache_entry(path, key, payload):
     )
     tmp = f"{path}.tmp.{os.getpid()}.{random.randrange(1 << 30)}"
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(body)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        # a timeout or a failed write must not leave the temp file behind
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def cached_compute(job, ring, f, op, params, compute):
@@ -348,14 +355,17 @@ COMMANDS["scan"] = Command(
 )
 
 
-def _payload(name, job):
-    """Payload of subcommand `name` for job, through the cache; lucas reads
-    no polynomial and caches nothing."""
+def _parse_job_poly(job):
+    return parse_poly(make_ring(job.prime, list(job.vars)), job.poly)
+
+
+def _payload(name, job, f):
+    """Payload of subcommand `name` for job and the parsed f, through the
+    cache; lucas reads no polynomial (f is None) and caches nothing."""
     command = COMMANDS[name]
-    if POLY not in command.flags:
+    if f is None:
         return command.compute(None, None, job)
-    ring = make_ring(job.prime, list(job.vars))
-    f = parse_poly(ring, job.poly)
+    ring = f.ring
     values = ((fl.key, getattr(job, fl.dest)) for fl in command.flags if fl.key)
     params = {key: str(v) if isinstance(v, Fraction) else v for key, v in values}
     return cached_compute(
@@ -376,35 +386,52 @@ def _alarm_handler(signum, frame):
     raise PrimeTimeout()
 
 
+def _failure_status(exc):
+    """The status of a scan row whose computation raised exc."""
+    if isinstance(exc, PrimeTimeout):
+        return "timeout"
+    if isinstance(exc, ResourceLimit):
+        return f"resource-limit: {exc}"
+    return f"error: {exc}"
+
+
 def scan_prime(job):
     """Compute all requested invariants of f mod job.prime; never raises.
 
     Returns a list of row dicts (one per invariant).  A timeout or failure
-    becomes a status on the affected rows so the scan keeps going.
+    becomes a status on the affected rows so the scan keeps going; one met
+    while parsing f marks every row.
     """
-    prime, reports = job.prime, job.report
-    rows = []
     old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
     signal.alarm(job.timeout_secs)
     try:
-        for idx, name in enumerate(reports):
-            t0 = time.monotonic()
-            try:
-                value, status = COMMANDS[name].scan(_payload(name, job))
-            except PrimeTimeout:
-                value, status = "", "timeout"
-            except ResourceLimit as exc:
-                value, status = "", f"resource-limit: {exc}"
-            except Exception as exc:
-                value, status = "", f"error: {exc}"
-            wall = int((time.monotonic() - t0) * 1000)
-            rows.append(_scan_row(prime, name, value, status, wall))
-            if status == "timeout":
-                rows += [_scan_row(prime, r, "", "timeout", 0) for r in reports[idx + 1:]]
-                break
+        try:
+            f = _parse_job_poly(job)
+        except Exception as exc:
+            status = _failure_status(exc)
+            return [_scan_row(job.prime, r, "", status, 0) for r in job.report]
+        return _prime_rows(f, job)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old_handler)
+
+
+@per_call_digit_powers
+def _prime_rows(f, job):
+    """The rows of scan_prime for the parsed f: one per-call scope, so its
+    reports share f's digit powers and root levels until it returns."""
+    rows, reports = [], job.report
+    for idx, name in enumerate(reports):
+        t0 = time.monotonic()
+        try:
+            value, status = COMMANDS[name].scan(_payload(name, job, f))
+        except Exception as exc:
+            value, status = "", _failure_status(exc)
+        wall = int((time.monotonic() - t0) * 1000)
+        rows.append(_scan_row(job.prime, name, value, status, wall))
+        if status == "timeout":
+            rows += [_scan_row(job.prime, r, "", "timeout", 0) for r in reports[idx + 1:]]
+            break
     return rows
 
 
@@ -487,7 +514,8 @@ def run(job, out=None, err=None) -> int:
             flag.convert(job)
         if job.command == "scan":
             return run_scan(job, out)
-        payload = _payload(job.command, job)
+        f = _parse_job_poly(job) if POLY in COMMANDS[job.command].flags else None
+        payload = _payload(job.command, job, f)
         if job.fmt == "json":
             out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:

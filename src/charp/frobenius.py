@@ -60,7 +60,8 @@ def _max_root_depth(p):
 def _check_root_guard(p, e):
     if e < 0:
         raise ValueError("root exponent e must be >= 0")
-    if e > _max_root_depth(p):
+    # p >= 2, so a depth beyond log2 of the limit fails without forming p^e
+    if e > ROOT_POWER_LIMIT.bit_length() - 1 or p**e > ROOT_POWER_LIMIT:
         raise ResourceLimit(f"p^e = {p}^{e} exceeds {ROOT_POWER_LIMIT}")
 
 

@@ -246,12 +246,13 @@ class Polynomial:
         _check_same_ring(self, other)
         if not self.terms or not other.terms:
             return self.ring.zero()
-        p = self.ring.p
         out = {}
+        get = out.get
         for u, c in self.terms:
             for v, d in other.terms:
-                w = tuple(x + y for x, y in zip(u, v))
-                out[w] = (out.get(w, 0) + c * d) % p
+                w = tuple(map(add, u, v))
+                out[w] = get(w, 0) + c * d
+        # from_dict reduces mod p and drops the coefficients that cancel
         return self.ring.from_dict(out)
 
     def mul_term(self, exponents, coeff):

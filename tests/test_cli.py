@@ -10,8 +10,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from charp import CharpError
+import charp.cli as cli_mod
+from charp import CharpError, Polynomial
 from charp.cli import (
+    COMMANDS,
     build_parser,
     cache_key,
     cache_path,
@@ -357,6 +359,79 @@ def test_scan_zero_polynomial_row():
     assert by_prime["2"].startswith("error")
     assert by_prime["3"] == "certified"
     assert r.returncode == 0
+
+
+SHARED_SCAN = ("scan", "--primes", "2..7", *QUINTIC_ARGS, "--report", "fpt,hsl,jumps")
+
+
+def test_scan_reports_share_one_copy_of_f_per_prime(monkeypatch):
+    # scan parses f once per prime, and the reports at that prime run in
+    # one per-call scope: every digit power goes to one private copy of f
+    parsed, owners = [], {}
+    real_parse, real_digit_power = cli_mod.parse_poly, Polynomial.digit_power
+
+    def parse(ring, text):
+        parsed.append(real_parse(ring, text))
+        return parsed[-1]
+
+    def digit_power(g, r):
+        owners.setdefault(g.ring.p, {})[id(g)] = g  # held, so ids stay distinct
+        return real_digit_power(g, r)
+
+    monkeypatch.setattr(cli_mod, "parse_poly", parse)
+    monkeypatch.setattr(Polynomial, "digit_power", digit_power)
+    code, _, _ = run_job(*SHARED_SCAN)
+    assert code == 0
+    assert [f.ring.p for f in parsed] == [2, 3, 5, 7]
+    assert sorted(owners) == [2, 3, 5, 7]
+    assert all(len(copies) == 1 for copies in owners.values())
+    assert not {id(f) for f in parsed} & {i for copies in owners.values() for i in copies}
+    assert all(f._digit_powers is None and f._root_levels is None for f in parsed)
+
+
+def test_scan_payloads_match_single_commands(monkeypatch):
+    # sharing one scope changes no report: each payload of the scan, and so
+    # each row, is what the command alone gives
+    payloads, real_payload = [], cli_mod._payload
+
+    def payload(name, job, f):
+        payloads.append((name, job.prime, real_payload(name, job, f)))
+        return payloads[-1][2]
+
+    monkeypatch.setattr(cli_mod, "_payload", payload)
+    code, out, _ = run_job(*SHARED_SCAN, "--format", "json")
+    monkeypatch.undo()
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and len(payloads) == len(rows) == 12
+    for row, (name, prime, scanned) in zip(rows, payloads):
+        code, single, _ = run_job(name, "-p", str(prime), *QUINTIC_ARGS, "--format", "json")
+        assert code == 0 and json.loads(single) == scanned
+        assert (row["prime"], row["invariant"]) == (prime, name)
+        assert [row["value"], row["status"]] == list(COMMANDS[name].scan(scanned))
+
+
+@pytest.mark.parametrize("poly", ["x^^2", "x+t", "(x+y"])
+def test_scan_bad_poly_marks_every_report(poly):
+    code, out, _ = run_job("scan", "--primes", "2..7", "--vars", "x,y", "-f", poly,
+                           "--report", "fpt,hsl", "--format", "json")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 2
+    assert [(r["prime"], r["invariant"]) for r in rows] == [
+        (p, name) for p in (2, 3, 5, 7) for name in ("fpt", "hsl")]
+    assert all(r["value"] == "" and r["status"].startswith("error: ") for r in rows)
+    assert len({r["status"] for r in rows}) == 1
+
+
+def test_failed_cache_store_leaves_no_temp_file(tmp_path, monkeypatch):
+    def replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli_mod.os, "replace", replace)
+    with pytest.raises(OSError):
+        cli_mod._store_cache_entry(str(tmp_path / "p7_tag.json"), "key", {"a": 1})
+    code, _, err = run_job("hsl", "-p", "7", *QUINTIC_ARGS, "--cache-dir", str(tmp_path))
+    assert code == 3 and "rename refused" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_threads_match_serial(tmp_path):

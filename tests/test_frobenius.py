@@ -91,6 +91,17 @@ def test_root_power_guard_does_not_form_the_power():
     assert time.process_time() - start < 0.5
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 47, 1021, 1048573, 1099511627791])
+def test_root_guard_allows_exactly_the_depths_within_the_limit(p):
+    # the constant-time guard agrees with the depth found by multiplying up
+    top = frobenius._max_root_depth(p)
+    assert p**top <= frobenius.ROOT_POWER_LIMIT < p ** (top + 1)
+    frobenius._check_root_guard(p, top)
+    for e in (top + 1, top + 2, 10**9):
+        with pytest.raises(ResourceLimit):
+            frobenius._check_root_guard(p, e)
+
+
 def test_depth_zero_is_the_identity_root():
     f = parse_poly(R5, "x^2+y")
     I = ideal(R5, "x*y", "y^2+1")

@@ -222,6 +222,56 @@ def test_desc_key_sorts_like_reversed_sort_key(data):
     )
 
 
+def naive_product(p, a, b):
+    """The product of two {exponents: coeff} dicts mod p, zeros dropped."""
+    out = {}
+    for u, c in a.items():
+        for v, d in b.items():
+            w = tuple(x + y for x, y in zip(u, v))
+            out[w] = (out.get(w, 0) + c * d) % p
+    return {w: c for w, c in out.items() if c}
+
+
+@st.composite
+def ring_and_dicts(draw):
+    # small exponents make many products collide, and some cancel mod p
+    p = draw(st.sampled_from([2, 3, 7]))
+    nvars = draw(st.integers(1, 4))
+    R = make_ring(p, ["x", "y", "z", "w"][:nvars])
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * nvars), st.integers(1, p - 1), max_size=6
+    )
+    return R, draw(terms), draw(terms)
+
+
+def assert_mul_is_naive(R, a, b):
+    product = R.from_dict(a) * R.from_dict(b)
+    expected = naive_product(R.p, a, b)
+    assert dict(product.terms) == expected
+    assert [e for e, _ in product.terms] == sorted(expected, key=R.sort_key, reverse=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_and_dicts())
+def test_mul_matches_naive_convolution(data):
+    assert_mul_is_naive(*data)
+
+
+@pytest.mark.parametrize("p,a,b,product", [
+    (2, "x+y", "x+y", "x^2+y^2"),
+    (3, "x+y", "x^2+2*x*y+y^2", "x^3+y^3"),
+    (7, "x+y", "x-y", "x^2-y^2"),
+    (7, "1+z+z^2+z^3", "1-z", "1-z^4"),
+    (3, "x*y+w", "x*y+2*w", "x^2*y^2+2*w^2"),
+    (2, "x+y+z+w", "x+y+z+w", "x^2+y^2+z^2+w^2"),
+])
+def test_mul_drops_coefficients_that_cancel(p, a, b, product):
+    R = make_ring(p, ["x", "y", "z", "w"])
+    f, g = parse_poly(R, a), parse_poly(R, b)
+    assert f * g == parse_poly(R, product)
+    assert_mul_is_naive(R, dict(f.terms), dict(g.terms))
+
+
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_digit_power_matches_direct_power(p):
     R = make_ring(p, ["x", "y", "z"])
