@@ -13,7 +13,7 @@ its terms, a Polynomial carries two memos, its per-call state:
     r < p, grown on demand. It holds at most the terms of f^0, ..., f^(p-1),
     each f^r at most C(n + r*deg f, n) of them in n variables: for
     x^4+x*y^3+y^2*z^2+z^5 that is 7,315 terms (1 MiB) at p = 19, but
-    230,300 terms (28 MiB, 13 s to build) at p = 47.
+    230,300 terms (28 MiB, about 1.1 s to build) at p = 47.
   * the root levels of frobenius.mixed_root: (f^r * J)^[1/p] keyed by the
     digit r and the generator terms of J. Test-ideal chains stabilize, so
     one search takes the same few levels over and over.
@@ -24,7 +24,9 @@ per_call_digit_powers: the outermost such call works on a fresh copy of f,
 which every call nested in it shares and which is dropped when it returns.
 A computation thus builds each f^r and each root level once, the caller's
 f never holds a memo, and charp keeps no state between calls. Only a
-direct f.digit_power(r) fills f's own memo.
+direct f.digit_power(r) fills f's own memo. A prime scan (cli.scan_prime)
+runs all reports of one prime in one such scope, so fpt, hsl and jumps at
+that prime share f's memos, which are dropped when its rows are done.
 
 Exponents and coefficients are arbitrary-precision ints throughout:
 Frobenius powers multiply exponents by p^e, which overflows any fixed width
