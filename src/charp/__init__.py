@@ -30,7 +30,6 @@ from .ring import (
     is_prime,
     make_ring,
     parse_poly,
-    poly_mul,
     poly_pow,
     pow_base_p,
 )
@@ -41,11 +40,9 @@ from .groebner import (
     ideal_equal,
     ideal_product,
     ideal_subset,
-    ideal_sum,
     normal_form,
     scale_ideal,
     unit_ideal,
-    zero_ideal,
 )
 from .frobenius import bracket_power, frob_root, mixed_root
 from .testideal import (

@@ -13,7 +13,8 @@ the same job are byte identical.
 
 Exit codes: 0 success, 1 usage or parse error, 2 resource limit, 3 internal
 error: a violated invariant or any other unexpected exception, reported in
-one line without a traceback.
+one line without a traceback.  A reader that closes stdout early is no
+error: the command stops quietly, with 0 unless it had already failed.
 """
 
 import argparse
@@ -34,7 +35,7 @@ from .frobenius import mixed_root
 from .groebner import buchberger, unit_ideal
 from .hsl import hsl_number
 from .lucas import binom_mod_p
-from .ring import is_prime, make_ring, parse_poly, per_call_digit_powers
+from .ring import is_prime, make_ring, parse_poly, per_call_memo
 from .testideal import FptInterval, fpt, jumps_in_unit_interval, tau
 
 CACHE_VERSION = "1"
@@ -395,44 +396,39 @@ def _failure_status(exc):
     return f"error: {exc}"
 
 
+@per_call_memo
 def scan_prime(job):
     """Compute all requested invariants of f mod job.prime; never raises.
 
     Returns a list of row dicts (one per invariant).  A timeout or failure
     becomes a status on the affected rows so the scan keeps going; one met
-    while parsing f marks every row.
+    while parsing f marks every row.  The reports run in one memo scope, so
+    they share the digit powers and root levels of f at this prime.
     """
     old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
     signal.alarm(job.timeout_secs)
     try:
+        rows, reports = [], job.report
         try:
             f = _parse_job_poly(job)
         except Exception as exc:
             status = _failure_status(exc)
-            return [_scan_row(job.prime, r, "", status, 0) for r in job.report]
-        return _prime_rows(f, job)
+            return [_scan_row(job.prime, r, "", status, 0) for r in reports]
+        for idx, name in enumerate(reports):
+            t0 = time.monotonic()
+            try:
+                value, status = COMMANDS[name].scan(_payload(name, job, f))
+            except Exception as exc:
+                value, status = "", _failure_status(exc)
+            wall = int((time.monotonic() - t0) * 1000)
+            rows.append(_scan_row(job.prime, name, value, status, wall))
+            if status == "timeout":
+                rows += [_scan_row(job.prime, r, "", "timeout", 0) for r in reports[idx + 1:]]
+                break
+        return rows
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old_handler)
-
-
-@per_call_digit_powers
-def _prime_rows(f, job):
-    """The rows of scan_prime for the parsed f: one per-call scope, so its
-    reports share f's digit powers and root levels until it returns."""
-    rows, reports = [], job.report
-    for idx, name in enumerate(reports):
-        t0 = time.monotonic()
-        try:
-            value, status = COMMANDS[name].scan(_payload(name, job, f))
-        except Exception as exc:
-            value, status = "", _failure_status(exc)
-        wall = int((time.monotonic() - t0) * 1000)
-        rows.append(_scan_row(job.prime, name, value, status, wall))
-        if status == "timeout":
-            rows += [_scan_row(job.prime, r, "", "timeout", 0) for r in reports[idx + 1:]]
-            break
-    return rows
 
 
 SCAN_FIELDS = ("prime", "invariant", "value", "status", "wall_ms")
@@ -521,6 +517,8 @@ def run(job, out=None, err=None) -> int:
         else:
             out.write(COMMANDS[job.command].text(payload) + "\n")
         return 0
+    except BrokenPipeError:
+        raise  # the reader closed out: main ends quietly
     except CharpError as exc:
         _report_error(job, out, err, str(exc))
         if isinstance(exc, UsageError):
@@ -537,7 +535,10 @@ def run(job, out=None, err=None) -> int:
 def _report_error(job, out, err, message):
     err.write(f"charp: {message}\n")
     if job.fmt == "json":
-        out.write(json.dumps({"error": message}, sort_keys=True) + "\n")
+        # a reader that closed out takes no error object, and the error
+        # keeps its exit code
+        with contextlib.suppress(BrokenPipeError):
+            out.write(json.dumps({"error": message}, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:
@@ -546,7 +547,18 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"charp: {exc}\n")
         return 1
-    return run(job)
+    code = 0
+    try:
+        code = run(job)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped reading, which is no error: a command it cuts
+        # short ends with 0, and one that failed keeps its code.  Point
+        # stdout at devnull so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

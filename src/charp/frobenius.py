@@ -12,10 +12,9 @@ f^m: peeling one base-p digit r of m per root level keeps every
 intermediate polynomial degree at most deg(f) * (p-1) plus the largest
 generator degree. It is the workhorse behind every test-ideal chain.
 
-Its per-call state lives on f (see per_call_digit_powers in ring.py), so
-it is built once per outermost call and reused by every root taken within
-it: the digit powers f^r from f.digit_power(r), and whole root levels, each
-(f^r * J)^[1/p] keyed by r and the generator terms of J. Chains and grid
+mixed_root memoizes whole root levels in the memo scope of its outermost
+call (see per_call_memo in ring.py): its table for f maps the digit r and
+the generator terms of J to the level (f^r * J)^[1/p]. Chains and grid
 probes of one search keep taking the same levels, because test-ideal chains
 stabilize (Blickle-Mustata-Smith, "Discreteness and rationality of
 F-thresholds", Michigan Math. J. 2008): a round of the benchmark's
@@ -41,7 +40,7 @@ from itertools import repeat
 from operator import add, floordiv, mod
 
 from .errors import ResourceLimit, RingMismatch
-from .ring import Polynomial, frob_power, per_call_digit_powers, pow_base_p
+from .ring import Polynomial, call_memo, frob_power, per_call_memo, pow_base_p
 from .groebner import Ideal, canonical_ideal, monomial_ideal, scale_ideal
 
 # guard on p^e: exponent components beyond this indicate a runaway input
@@ -144,7 +143,7 @@ def _root_level(fr: Polynomial, J: Ideal) -> Ideal:
     )
 
 
-@per_call_digit_powers
+@per_call_memo
 def mixed_root(f: Polynomial, m: int, I: Ideal, e: int) -> Ideal:
     """(f^m * I)^[1/p^e] by digit-peeling.
 
@@ -159,9 +158,7 @@ def mixed_root(f: Polynomial, m: int, I: Ideal, e: int) -> Ideal:
         raise ValueError("negative exponent")
     _check_root_guard(f.ring.p, e)
     p = f.ring.p
-    levels = f._root_levels
-    if levels is None:
-        levels = f._root_levels = {}
+    levels = call_memo("mixed_root", f)
     J = I
     for _ in range(e):
         m, r = divmod(m, p)

@@ -282,10 +282,6 @@ def unit_ideal(ring):
     return Ideal(ring, [ring.one()])
 
 
-def zero_ideal(ring):
-    return Ideal(ring, [])
-
-
 def buchberger(I: Ideal):
     """The unique reduced Groebner basis of I, as a list."""
     return list(I.canon())
@@ -311,12 +307,6 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 def ideal_subset(I: Ideal, J: Ideal) -> bool:
     """True iff I is contained in J."""
     return all(ideal_contains(J, g) for g in I.gens)
-
-
-def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    if I.ring != J.ring:
-        raise RingMismatch("ideals from different rings")
-    return Ideal(I.ring, I.gens + J.gens)
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:

@@ -6,27 +6,20 @@ pairs with coefficients in [1, p-1], sorted strictly descending in the
 ring's monomial order, so two polynomials are equal iff their term tuples
 are identical. The zero polynomial is the empty term tuple.
 
-All values behave as immutable; every operation is a pure function. Besides
-its terms, a Polynomial carries two memos, its per-call state:
+All values behave as immutable; every operation is a pure function, and a
+Polynomial is its ring and terms alone. Memoized work lives in a memo
+scope: the outermost call of a function decorated with per_call_memo opens
+one, every call nested in it shares it, and it is dropped when that call
+returns, so charp keeps no state between calls. call_memo(kind, f) is the
+table of one kind of memo for the value f, so equal polynomials share a
+table. Outside any scope it is a throwaway table, and a direct
+f.digit_power(r) memoizes nothing.
 
-  * the memo behind digit_power, the powers f^0, ..., f^r for base-p digits
-    r < p, grown on demand. It holds at most the terms of f^0, ..., f^(p-1),
-    each f^r at most C(n + r*deg f, n) of them in n variables: for
-    x^4+x*y^3+y^2*z^2+z^5 that is 7,315 terms (1 MiB) at p = 19, but
-    230,300 terms (28 MiB, about 1.1 s to build) at p = 47.
-  * the root levels of frobenius.mixed_root: (f^r * J)^[1/p] keyed by the
-    digit r and the generator terms of J. Test-ideal chains stabilize, so
-    one search takes the same few levels over and over.
-
-Both are pure caches that never show through ==, hash or terms, and
-pickling leaves them out. The functions that use them are decorated with
-per_call_digit_powers: the outermost such call works on a fresh copy of f,
-which every call nested in it shares and which is dropped when it returns.
-A computation thus builds each f^r and each root level once, the caller's
-f never holds a memo, and charp keeps no state between calls. Only a
-direct f.digit_power(r) fills f's own memo. A prime scan (cli.scan_prime)
-runs all reports of one prime in one such scope, so fpt, hsl and jumps at
-that prime share f's memos, which are dropped when its rows are done.
+digit_power(r) keeps f^0, ..., f^r for base-p digits r < p in its table.
+That is at most the terms of f^0, ..., f^(p-1), each f^r at most
+C(n + r*deg f, n) of them in n variables: for x^4+x*y^3+y^2*z^2+z^5 that is
+7,315 terms (1 MiB) at p = 19, but 230,300 terms (28 MiB, about 1.1 s to
+build) at p = 47.
 
 Exponents and coefficients are arbitrary-precision ints throughout:
 Frobenius powers multiply exponents by p^e, which overflows any fixed width
@@ -166,6 +159,11 @@ class RingContext:
     def __hash__(self):
         return hash((self.p, self.vars, self.order))
 
+    def __reduce__(self):
+        # a slotted class without __getstate__ cannot be pickled with
+        # protocols 0 and 1
+        return (RingContext, (self.p, self.vars, self.order))
+
     def __repr__(self):
         return f"RingContext(p={self.p}, vars={list(self.vars)}, order={self.order!r})"
 
@@ -180,13 +178,11 @@ def _check_same_ring(a, b):
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_digit_powers", "_root_levels")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-        self._digit_powers = None
-        self._root_levels = None  # filled by frobenius.mixed_root
 
     def __bool__(self):
         return bool(self.terms)
@@ -202,7 +198,8 @@ class Polynomial:
         return hash((self.ring, self.terms))
 
     def __reduce__(self):
-        # the memos are caches: pickle the value alone
+        # a slotted class without __getstate__ cannot be pickled with
+        # protocols 0 and 1
         return (Polynomial, (self.ring, self.terms))
 
     def is_unit(self):
@@ -283,20 +280,16 @@ class Polynomial:
         return result
 
     def digit_power(self, r):
-        """f^r for a base-p digit 0 <= r < p, memoized on f.
+        """f^r for a base-p digit 0 <= r < p, memoized in the call's scope.
 
-        The memo grows one product at a time, f^r = f^(r-1) * f, and is
-        published as a new tuple only once it is complete, so a concurrent
-        reader never sees it half filled.
+        The table maps k to f^k for k = 0, 1, ... and grows one product at
+        a time, f^k = f^(k-1) * f.
         """
         if not 0 <= r < self.ring.p:
             raise ValueError(f"digit {r} is not in [0, {self.ring.p})")
-        powers = self._digit_powers
-        if powers is None or r >= len(powers):
-            grown = list(powers or (self.ring.one(),))
-            while len(grown) <= r:
-                grown.append(grown[-1] * self)
-            powers = self._digit_powers = tuple(grown)
+        powers = call_memo("digit_power", self)
+        for k in range(len(powers), r + 1):
+            powers[k] = powers[k - 1] * self if k else self.ring.one()
         return powers[r]
 
     def __str__(self):
@@ -319,10 +312,6 @@ class Polynomial:
         return f"<{self} over F_{self.ring.p}>"
 
 
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a * b
-
-
 def poly_pow(a: Polynomial, m: int) -> Polynomial:
     return a**m
 
@@ -336,31 +325,41 @@ def frob_power(f: Polynomial, e: int) -> Polynomial:
     return Polynomial(f.ring, terms)
 
 
-# true while a per_call_digit_powers call runs in this context
-_IN_CALL = ContextVar("charp_in_call", default=False)
+# the memo scope of the running outermost call: tables keyed by (kind, f),
+# or None while no call runs in this context
+_SCOPE = ContextVar("charp_memo_scope", default=None)
 
 
-def per_call_digit_powers(fn):
-    """Run fn(f, ...) on a copy of f whose memos last one call.
+def call_memo(kind, f):
+    """The table of memo `kind` for the value f in the open scope; a
+    throwaway table when no scope is open."""
+    scope = _SCOPE.get()
+    if scope is None:
+        return {}
+    return scope.setdefault((kind, f), {})
 
-    Only the outermost decorated call copies f; the calls nested in it get
-    that copy and share its digit powers and root levels.
+
+def per_call_memo(fn):
+    """Run fn in a memo scope that lasts its outermost call.
+
+    Only the outermost decorated call opens a scope; the calls nested in it
+    share that scope, and it is dropped when the outermost call returns.
     """
 
     @functools.wraps(fn)
-    def call(f, *args, **kwargs):
-        if _IN_CALL.get():
-            return fn(f, *args, **kwargs)
-        token = _IN_CALL.set(True)
+    def call(*args, **kwargs):
+        if _SCOPE.get() is not None:
+            return fn(*args, **kwargs)
+        token = _SCOPE.set({})
         try:
-            return fn(Polynomial(f.ring, f.terms), *args, **kwargs)
+            return fn(*args, **kwargs)
         finally:
-            _IN_CALL.reset(token)
+            _SCOPE.reset(token)
 
     return call
 
 
-@per_call_digit_powers
+@per_call_memo
 def pow_base_p(f: Polynomial, m: int) -> Polynomial:
     """f^m via the base-p digits of m: f^m = prod_j (f^(d_j))^(p^j)."""
     if m < 0:

@@ -47,7 +47,7 @@ from .errors import (
     UnitPolynomial,
     ZeroPolynomial,
 )
-from .ring import Polynomial, per_call_digit_powers, pow_base_p
+from .ring import Polynomial, per_call_memo, pow_base_p
 from .groebner import Ideal, ideal_equal, ideal_subset, scale_ideal, unit_ideal
 from .frobenius import _check_root_guard, _max_root_depth, mixed_root
 from .hsl import hsl_upper_bound
@@ -144,7 +144,7 @@ def _require_nonunit(f: Polynomial):
         raise UnitPolynomial("constant polynomial is F-regular everywhere")
 
 
-@per_call_digit_powers
+@per_call_memo
 def cartier_chain(f: Polynomial, r: int, s: int, seed: Ideal) -> Ideal:
     """Iterate J -> (f^r * J)^[1/p^s] from seed until it stops moving.
 
@@ -182,7 +182,7 @@ def cartier_chain(f: Polynomial, r: int, s: int, seed: Ideal) -> Ideal:
     raise CharpError(f"chain did not stabilize within its bound {bound}")
 
 
-@per_call_digit_powers
+@per_call_memo
 def tau_ppower(f: Polynomial, m: int, e: int) -> Ideal:
     """tau(f^(m/p^e)) = (f^m)^[1/p^e], exactly."""
     _require_nonzero(f)
@@ -215,19 +215,19 @@ def _tau_side(f: Polynomial, lam, left: bool) -> Ideal:
     return mixed_root(f, k, inner, form.a)
 
 
-@per_call_digit_powers
+@per_call_memo
 def tau(f: Polynomial, lam) -> Ideal:
     """The test ideal of f at exponent lam >= 0."""
     return _tau_side(f, lam, left=False)
 
 
-@per_call_digit_powers
+@per_call_memo
 def tau_left(f: Polynomial, lam) -> Ideal:
     """The common value of tau(f^mu) for mu < lam sufficiently close."""
     return _tau_side(f, lam, left=True)
 
 
-@per_call_digit_powers
+@per_call_memo
 def is_fjumping(f: Polynomial, lam) -> JumpCertificate:
     lam = Fraction(lam)
     _require_nonzero(f)
@@ -251,7 +251,7 @@ def is_fjumping(f: Polynomial, lam) -> JumpCertificate:
     return JumpCertificate(value=lam, tau_at=at, tau_left=left, status=status)
 
 
-@per_call_digit_powers
+@per_call_memo
 def nu(f: Polynomial, e: int) -> NuValue:
     """Largest m with (f^m)^[1/p^e] = (1).
 
@@ -312,7 +312,7 @@ def _drop_at(f: Polynomial, lam: Fraction, below: Ideal):
     return JumpCertificate(value=lam, tau_at=at, tau_left=left, status=status)
 
 
-@per_call_digit_powers
+@per_call_memo
 def fpt(f: Polynomial, e_max: int = 4, s_max: int = 4):
     """The F-pure threshold: smallest exponent with a proper test ideal.
 
@@ -339,7 +339,7 @@ def fpt(f: Polynomial, e_max: int = 4, s_max: int = 4):
     return FptInterval(lo=lo, hi=hi)
 
 
-@per_call_digit_powers
+@per_call_memo
 def jumps_in_unit_interval(f: Polynomial, e_res: int, s_max: int = 4):
     """Certified F-jumping numbers of f in the open interval (0, 1).
 
@@ -431,7 +431,7 @@ def transport_jump(mu, r: int, e: int, p: int) -> Fraction:
     return p**e * mu - r
 
 
-@per_call_digit_powers
+@per_call_memo
 def gap_certificate(f: Polynomial, r: int, e: int, d: int) -> GapClaim | None:
     """The interval (lam_d, lam) if it holds no jumping number, else None.
 

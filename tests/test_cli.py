@@ -6,11 +6,13 @@ import multiprocessing
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import charp.cli as cli_mod
+import charp.ring as ring_module
 from charp import CharpError, Polynomial
 from charp.cli import (
     COMMANDS,
@@ -364,10 +366,10 @@ def test_scan_zero_polynomial_row():
 SHARED_SCAN = ("scan", "--primes", "2..7", *QUINTIC_ARGS, "--report", "fpt,hsl,jumps")
 
 
-def test_scan_reports_share_one_copy_of_f_per_prime(monkeypatch):
+def test_scan_reports_share_one_memo_scope_per_prime(monkeypatch):
     # scan parses f once per prime, and the reports at that prime run in
-    # one per-call scope: every digit power goes to one private copy of f
-    parsed, owners = [], {}
+    # one memo scope: every digit power at a prime sees the same scope
+    parsed, scopes = [], {}
     real_parse, real_digit_power = cli_mod.parse_poly, Polynomial.digit_power
 
     def parse(ring, text):
@@ -375,7 +377,8 @@ def test_scan_reports_share_one_copy_of_f_per_prime(monkeypatch):
         return parsed[-1]
 
     def digit_power(g, r):
-        owners.setdefault(g.ring.p, {})[id(g)] = g  # held, so ids stay distinct
+        scope = ring_module._SCOPE.get()
+        scopes.setdefault(g.ring.p, {})[id(scope)] = scope  # held, so ids stay distinct
         return real_digit_power(g, r)
 
     monkeypatch.setattr(cli_mod, "parse_poly", parse)
@@ -383,10 +386,10 @@ def test_scan_reports_share_one_copy_of_f_per_prime(monkeypatch):
     code, _, _ = run_job(*SHARED_SCAN)
     assert code == 0
     assert [f.ring.p for f in parsed] == [2, 3, 5, 7]
-    assert sorted(owners) == [2, 3, 5, 7]
-    assert all(len(copies) == 1 for copies in owners.values())
-    assert not {id(f) for f in parsed} & {i for copies in owners.values() for i in copies}
-    assert all(f._digit_powers is None and f._root_levels is None for f in parsed)
+    assert sorted(scopes) == [2, 3, 5, 7]
+    assert all(len(seen) == 1 and None not in seen.values() for seen in scopes.values())
+    assert len({i for seen in scopes.values() for i in seen}) == 4
+    assert ring_module._SCOPE.get() is None
 
 
 def test_scan_payloads_match_single_commands(monkeypatch):
@@ -460,13 +463,44 @@ def test_cache_roundtrip(tmp_path):
     assert third.stdout == first.stdout
 
 
+@pytest.mark.parametrize("fmt,kept", [("csv", 2), ("json", 1)])
+def test_scan_stops_quietly_when_the_reader_closes_stdout(fmt, kept):
+    # like `charp scan ... | head -2`: the reader keeps the first row and
+    # closes the pipe, which ends the scan with exit 0 and an empty stderr
+    args = ["scan", "--primes", "2..31", "--vars", "x,y,z", "-f", "x^3+y^3+z^3",
+            "--report", "fpt,hsl", "--format", fmt]
+    with subprocess.Popen(
+        [sys.executable, "-m", "charp.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        for _ in range(kept):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=240)
+    assert (code, err) == (0, "")
+
+
+def test_closed_stdout_keeps_an_error_exit_code():
+    # the JSON error object goes nowhere, but the usage error still counts
+    with subprocess.Popen(
+        [sys.executable, "-m", "charp.cli", "fpt", "-p", "7", "--vars", "x",
+         "-f", "x", "--depth", "0", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=240)
+    assert (code, err) == (1, "charp: --depth must be positive\n")
+
+
 def test_cache_audit_detects_poison(tmp_path, monkeypatch):
     job = build_parser().parse_args(
         ["tau", "-p", "7", *QUINTIC_ARGS, "--lambda", "6/7",
          "--cache-dir", str(tmp_path)])
     assert run(job, io.StringIO(), io.StringIO()) == 0
     path = cache_path(str(tmp_path), 7, ("x", "y", "z"), "x^5 + y^5 + z^5")
-    entries = json.loads(open(path).read())
+    entries = json.loads(Path(path).read_text())
     key = cache_key("tau", {"lambda": "6/7"})
     entries["entries"][key] = {"generators": ["x"]}
     with open(path, "w") as fh:

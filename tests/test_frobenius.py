@@ -9,7 +9,7 @@ import pytest
 import charp.frobenius as frobenius
 import charp.testideal as testideal
 from charp.groebner import canonical_ideal
-from charp.ring import per_call_digit_powers
+from charp.ring import per_call_memo
 from charp import (
     Ideal,
     ResourceLimit,
@@ -180,7 +180,7 @@ def levels_one_by_one(f, m, I, e):
     return scale_ideal(poly_pow(f, m), J) if m else J
 
 
-@per_call_digit_powers
+@per_call_memo
 def roots_in_one_call(f, cases):
     # one outermost call, so every root shares the level memo
     return [mixed_root(f, m, I, e) for m, I, e in cases]

@@ -18,11 +18,11 @@ from charp import (
     make_ring,
     mixed_root,
     parse_poly,
-    poly_mul,
     poly_pow,
     pow_base_p,
     unit_ideal,
 )
+from charp.ring import call_memo, per_call_memo
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -100,7 +100,7 @@ def test_mul_and_pow_examples():
     assert str(poly_pow(f, 2)) == "x^2 + y^2"
     assert str(poly_pow(f, 0)) == "1"
     R3 = make_ring(3, ["x"])
-    g = poly_mul(parse_poly(R3, "x+1"), parse_poly(R3, "x+2"))
+    g = parse_poly(R3, "x+1") * parse_poly(R3, "x+2")
     assert str(g) == "x^2 + 2"
 
 
@@ -114,7 +114,7 @@ def test_ring_mismatch():
     a = parse_poly(make_ring(5, ["x"]), "x")
     b = parse_poly(make_ring(7, ["x"]), "x")
     with pytest.raises(RingMismatch):
-        poly_mul(a, b)
+        a * b
 
 
 def test_frob_power_examples():
@@ -289,13 +289,13 @@ def test_digit_power_rejects_non_digits(r):
 
 
 def fill_memos(f):
-    # mixed_root's undecorated body fills the root-level memo of the very
-    # f it gets, as it does for the per-call copy
+    # inside a scope: fills the digit powers and root levels of f's value
     f.digit_power(f.ring.p - 1)
-    mixed_root.__wrapped__(f, f.ring.p + 1, unit_ideal(f.ring), 2)
-    assert f._digit_powers and f._root_levels
+    mixed_root(f, f.ring.p + 1, unit_ideal(f.ring), 2)
+    assert call_memo("digit_power", f) and call_memo("mixed_root", f)
 
 
+@per_call_memo
 def test_digit_power_memo_is_invisible():
     R = make_ring(7, ["x", "y"])
     f, g = parse_poly(R, "x^3 + y"), parse_poly(R, "x^3 + y")
@@ -304,13 +304,14 @@ def test_digit_power_memo_is_invisible():
     assert {f: 1}[g] == 1
 
 
+@per_call_memo
 def test_ring_and_memoized_polynomial_pickle():
     R = make_ring(5, ["x", "y"], order="lex")
     assert pickle.loads(pickle.dumps(R)) == R
     f = parse_poly(R, "x*y + y^2 + 2")
     fill_memos(f)
-    g = pickle.loads(pickle.dumps(f))
-    assert g == f and g.ring.order == "lex"
-    # the memos are caches, not pickled state
-    assert g._digit_powers is None and g._root_levels is None
-    assert g.digit_power(4) == f**4
+    # every protocol, down to 0 and 1, which need Polynomial.__reduce__
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        g = pickle.loads(pickle.dumps(f, protocol))
+        assert g == f and g.ring.order == "lex"
+        assert g.digit_power(4) == f**4

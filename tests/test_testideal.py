@@ -8,6 +8,8 @@ from math import factorial
 
 import pytest
 
+import charp.frobenius as frobenius_module
+import charp.ring as ring_module
 import charp.testideal as testideal_module
 from charp import (
     CharpError,
@@ -40,6 +42,7 @@ from charp import (
     transport_jump,
     unit_ideal,
 )
+from charp.ring import call_memo, per_call_memo
 
 R7 = make_ring(7, ["x", "y", "z"])
 QUINTIC = parse_poly(R7, "x^5+y^5+z^5")
@@ -314,10 +317,10 @@ def test_jumps_grid_reuses_coarse_cells(monkeypatch):
 
 
 def test_calls_keep_no_digit_power_memo(monkeypatch):
-    # the outermost call works on a private copy of f whose memos (digit
-    # powers and root levels) every nested call shares, so a repeated call
-    # does the same work and the caller's f never holds a memo
-    products, owners = [], set()
+    # the outermost call opens one memo scope that every nested call
+    # shares and that is dropped when it returns, so a repeated call does
+    # the same work and no memo outlives its call
+    products, tables = [], []
     real_mul, real_digit_power = Polynomial.__mul__, Polynomial.digit_power
 
     def mul(a, b):
@@ -325,7 +328,7 @@ def test_calls_keep_no_digit_power_memo(monkeypatch):
         return real_mul(a, b)
 
     def digit_power(g, r):
-        owners.add(id(g))
+        tables.append(call_memo("digit_power", g))
         return real_digit_power(g, r)
 
     monkeypatch.setattr(Polynomial, "__mul__", mul)
@@ -340,13 +343,39 @@ def test_calls_keep_no_digit_power_memo(monkeypatch):
         counts, results = [], []
         for _ in range(2):
             products.clear()
-            owners.clear()
+            tables.clear()
             results.append(call())
             counts.append(len(products))
-            assert len(owners) == 1 and id(f) not in owners, name
-            assert f._digit_powers is None and f._root_levels is None, name
+            assert tables and all(t is tables[0] for t in tables), name
+            assert ring_module._SCOPE.get() is None, name
         assert counts[0] == counts[1] and results[0] == results[1], name
     assert calls["fpt"]() == Fraction(4, 5)
+
+
+def test_equal_polynomials_share_root_levels(monkeypatch):
+    # the scope keys its tables by value: fpt on an equal but distinct g
+    # takes every root level from f's run
+    counts = []
+    real_root_level = frobenius_module._root_level
+
+    def root_level(fr, J):
+        counts[-1] += 1
+        return real_root_level(fr, J)
+
+    monkeypatch.setattr(frobenius_module, "_root_level", root_level)
+    R = make_ring(7, ["x", "y", "z"])
+    f, g = parse_poly(R, "x^5+y^5+z^5"), parse_poly(R, "x^5+y^5+z^5")
+
+    @per_call_memo
+    def both():
+        results = []
+        for h in (f, g):
+            counts.append(0)
+            results.append(fpt(h).value)
+        return results
+
+    assert both() == [Fraction(4, 7)] * 2
+    assert counts == [26, 0]
 
 
 def cubic_hasse_invariant(p):
