@@ -47,13 +47,11 @@ from .groebner import (
 from .frobenius import bracket_power, frob_root, mixed_root
 from .testideal import (
     FptInterval,
-    GapClaim,
     JumpCertificate,
     NuValue,
     PFracForm,
     cartier_chain,
     fpt,
-    gap_certificate,
     is_fjumping,
     jump_count_bound,
     jumps_in_unit_interval,

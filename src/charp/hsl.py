@@ -1,10 +1,12 @@
-"""Stabilization index of the Frobenius-iteration ideal chain.
+"""Stabilization index of the Frobenius-iteration ideal chain, and the one
+walk that iterates every Cartier chain.
 
 Starting from the unit ideal, each step applies I -> (f^(p-1) * I)^[1/p].
-The l-th chain entry equals tau(f^(1 - 1/p^l)), so the chain descends and
-stabilizes; the index of the first repeat (at least 1 by convention, also
-for constant chains) measures how many Frobenius iterations the hypersurface
-needs before its kernel filtration stops moving.
+This is the Cartier chain of testideal.tau_left at 1: the l-th entry
+equals tau(f^(1 - 1/p^l)), so the chain descends to tau_left(f, 1). The
+index of the first repeat (at least 1 by convention, also for constant
+chains) measures how many Frobenius iterations the hypersurface needs
+before its kernel filtration stops moving.
 """
 
 from __future__ import annotations
@@ -12,20 +14,48 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import CharpError, ZeroPolynomial
+from .errors import ChainNotMonotone, CharpError, ZeroPolynomial
 from .ring import Polynomial, per_call_memo
-from .groebner import Ideal, ideal_equal, unit_ideal
+from .groebner import Ideal, ideal_equal, ideal_subset, unit_ideal
 from .frobenius import mixed_root
 
 
 @dataclass(frozen=True)
 class HslReport:
-    hsl: int
     chain: tuple  # I_0 = (1) down to the first repeated entry
-    stabilized: Ideal
+
+    @property
+    def hsl(self) -> int:
+        return max(1, len(self.chain) - 2)
+
+    @property
+    def stabilized(self) -> Ideal:
+        return self.chain[-1]
 
 
-@per_call_memo
+def _walk(step, seed: Ideal, steps: int) -> list:
+    """[seed, step(seed), ...] up to and including the first repeat.
+
+    step is inclusion-monotone, so once two consecutive entries agree the
+    chain is constant forever; its direction (ascending or descending) is
+    asserted on the first step. A chain still moving after `steps` steps
+    raises CharpError carrying the partial chain as `.chain`.
+    """
+    chain = [seed]
+    for _ in range(steps):
+        current, nxt = chain[-1], step(chain[-1])
+        chain.append(nxt)
+        if ideal_equal(nxt, current):
+            return chain
+        if len(chain) == 2 and not (
+            ideal_subset(seed, nxt) or ideal_subset(nxt, seed)
+        ):
+            raise ChainNotMonotone(f"chain step is not monotone from seed {seed}")
+    err = CharpError(f"chain did not stabilize within its bound of {steps} steps")
+    err.chain = tuple(chain)  # partial chain for diagnosis
+    raise err
+
+
 def cartier_step(f: Polynomial, I: Ideal) -> Ideal:
     """(f^(p-1) * I)^[1/p], one level of the Frobenius iteration."""
     return mixed_root(f, f.ring.p - 1, I, 1)
@@ -35,33 +65,16 @@ def cartier_step(f: Polynomial, I: Ideal) -> Ideal:
 def hsl_number(f: Polynomial) -> HslReport:
     """Smallest l >= 1 with chain entry l+1 equal to entry l.
 
-    One-step equality is a rigorous stop: the step operator is monotone and
-    the chain descends. A unit polynomial yields the constant chain (1) and
-    hsl = 1 by convention. The chain is followed up to hsl_upper_bound(n,
-    deg f) steps; a chain still moving there contradicts that bound, so it
-    is an internal error, raised with the partial chain as `.chain`.
+    The chain is walked from (1) for hsl_upper_bound(n, max(1, deg f)) + 1
+    steps; a unit f gives the constant chain (1) and hsl = 1. A chain still
+    moving there contradicts that bound, an internal error.
     """
     if not f.terms:
         raise ZeroPolynomial("zero polynomial has no Frobenius chain")
-    chain = [unit_ideal(f.ring)]
-    if f.is_unit():
-        chain.append(unit_ideal(f.ring))
-        return HslReport(hsl=1, chain=tuple(chain), stabilized=chain[-1])
-    bound = hsl_upper_bound(len(f.ring.vars), f.total_degree())
-    for _ in range(bound + 1):
-        nxt = cartier_step(f, chain[-1])
-        chain.append(nxt)
-        if ideal_equal(nxt, chain[-2]):
-            return HslReport(
-                hsl=max(1, len(chain) - 2),
-                chain=tuple(chain),
-                stabilized=nxt,
-            )
-    err = CharpError(
-        f"chain did not stabilize within its bound C(n+deg f, n)+1 = {bound}"
+    steps = hsl_upper_bound(len(f.ring.vars), max(1, f.total_degree())) + 1
+    return HslReport(
+        tuple(_walk(lambda J: cartier_step(f, J), unit_ideal(f.ring), steps))
     )
-    err.chain = tuple(chain)  # partial chain for diagnosis
-    raise err
 
 
 def hsl_upper_bound(n: int, M: int) -> int:

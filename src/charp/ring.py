@@ -380,6 +380,9 @@ class _Parser:
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor ('*'? factor)*
     factor := (integer | var | '(' expr ')') ('^' nonneg-integer)*
+
+    Powers go through pow_base_p: its factors f^d (d < p) are raised to
+    p^j by scaling exponents, so no dense power of the base is squared.
     """
 
     def __init__(self, ring, text):
@@ -440,7 +443,7 @@ class _Parser:
         f = self.primary()
         while self.peek() == "^":
             self.pos += 1
-            f = f ** self.integer()
+            f = pow_base_p(f, self.integer())
         return f
 
     def primary(self):

@@ -40,17 +40,15 @@ from fractions import Fraction
 from math import ceil, comb
 
 from .errors import (
-    ChainNotMonotone,
-    CharpError,
     OutOfInterval,
     ResourceLimit,
     UnitPolynomial,
     ZeroPolynomial,
 )
 from .ring import Polynomial, per_call_memo, pow_base_p
-from .groebner import Ideal, ideal_equal, ideal_subset, scale_ideal, unit_ideal
+from .groebner import Ideal, ideal_equal, scale_ideal, unit_ideal
 from .frobenius import _check_root_guard, _max_root_depth, mixed_root
-from .hsl import hsl_upper_bound
+from .hsl import _walk, hsl_upper_bound
 
 
 def multiplicative_order(x: int, modulus: int, limit: int = None) -> int:
@@ -126,14 +124,6 @@ class FptInterval:
     hi: Fraction
 
 
-@dataclass(frozen=True)
-class GapClaim:
-    """Certified-empty open interval (lo, hi): no jumping numbers inside."""
-
-    lo: Fraction
-    hi: Fraction
-
-
 def _require_nonzero(f: Polynomial):
     if not f.terms:
         raise ZeroPolynomial("zero polynomial has no test ideals")
@@ -148,9 +138,9 @@ def _require_nonunit(f: Polynomial):
 def cartier_chain(f: Polynomial, r: int, s: int, seed: Ideal) -> Ideal:
     """Iterate J -> (f^r * J)^[1/p^s] from seed until it stops moving.
 
-    The step operator is inclusion-monotone, so once two consecutive values
-    agree the chain is constant forever; the direction (ascending or
-    descending) is asserted on the first step.
+    The step operator is inclusion-monotone, so the chain is walked by
+    hsl._walk, which stops at the first repeat and asserts the direction
+    (ascending or descending) on the first step.
 
     Every entry is generated in degree at most B = max(1, deg seed,
     ceil(r * deg f / (p^s - 1))): if J is, then f^r * J is generated in
@@ -167,22 +157,10 @@ def cartier_chain(f: Polynomial, r: int, s: int, seed: Ideal) -> Ideal:
     bound = hsl_upper_bound(
         len(f.ring.vars), max(1, degree, -(-r * f.total_degree() // q))
     )
-    current = seed
-    for step in range(bound):
-        nxt = mixed_root(f, r, current, s)
-        if ideal_equal(nxt, current):
-            return current
-        if step == 0 and not (
-            ideal_subset(current, nxt) or ideal_subset(nxt, current)
-        ):
-            raise ChainNotMonotone(
-                f"chain step is not monotone from seed {seed} (r={r}, s={s})"
-            )
-        current = nxt
-    raise CharpError(f"chain did not stabilize within its bound {bound}")
+    # the older of the two equal last entries: seed itself if it is fixed
+    return _walk(lambda J: mixed_root(f, r, J, s), seed, bound)[-2]
 
 
-@per_call_memo
 def tau_ppower(f: Polynomial, m: int, e: int) -> Ideal:
     """tau(f^(m/p^e)) = (f^m)^[1/p^e], exactly."""
     _require_nonzero(f)
@@ -429,26 +407,6 @@ def transport_jump(mu, r: int, e: int, p: int) -> Fraction:
     if mu <= lam_1:
         raise OutOfInterval(f"{mu} not above (1 - p^-{e}) * {lam} = {lam_1}")
     return p**e * mu - r
-
-
-@per_call_memo
-def gap_certificate(f: Polynomial, r: int, e: int, d: int) -> GapClaim | None:
-    """The interval (lam_d, lam) if it holds no jumping number, else None.
-
-    lam = r/(p^e - 1) and lam_d = (1 - p^(-de)) * lam. The claim is checked:
-    lam_d = m/p^(de) with m = r * (p^(de) - 1)/(p^e - 1), so tau(f^lam_d)
-    is the single root tau_ppower(f, m, de). tau is non-increasing in the
-    exponent, so it is constant on [lam_d, lam) exactly when tau(f^lam_d)
-    equals the left limit tau_left(f, lam); then no jump lies in between.
-    """
-    p = f.ring.p
-    _check_root_guard(p, max(e, d * e))
-    q = p**e - 1
-    lam = Fraction(r, q)
-    m = r * (p ** (d * e) - 1) // q
-    if not ideal_equal(tau_ppower(f, m, d * e), tau_left(f, lam)):
-        return None
-    return GapClaim(lo=Fraction(m, p ** (d * e)), hi=lam)
 
 
 def jump_count_bound(n: int, M: int, lam) -> int:

@@ -1,6 +1,7 @@
 """Frobenius kernel stabilization (chain of shrinking annihilator ideals)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,8 +15,10 @@ from charp import (
     ideal_contains,
     ideal_equal,
     ideal_subset,
+    jumps_in_unit_interval,
     make_ring,
     parse_poly,
+    tau_left,
     tau_ppower,
     unit_ideal,
 )
@@ -118,3 +121,30 @@ def test_hsl_below_bound_random():
             continue
         report = hsl_number(f)
         assert report.hsl <= hsl_upper_bound(nv, f.total_degree())
+
+
+def _hsl_from_largest_jump(jumps, p):
+    """Least l >= 1 with lam_max <= 1 - p^-l, lam_max the largest certified
+    jump in (0, 1); 1 when (0, 1) holds none."""
+    values = [c.value for c in jumps if c.is_jump()]
+    l = 1
+    while values and max(values) > 1 - Fraction(1, p**l):
+        l += 1
+    return l
+
+
+@pytest.mark.parametrize("text,p,e_res", [
+    *(("x^5+y^5+z^5", p, 3) for p in (2, 3, 5, 7, 11, 13)),
+    *(("x^3+y^3+z^3", p, 3) for p in (2, 3, 5, 7, 11, 13, 17, 19)),
+    *(("x^4+x*y^3+y^2*z^2+z^5", p, 2) for p in (2, 5, 7)),
+    *(("x^2+y^3", p, 3) for p in (2, 3, 5, 7, 11, 13)),
+    *(("x^3+y^3+z^3+x*y*z", p, 3) for p in (2, 3, 7)),
+])
+def test_hsl_agrees_with_left_limit_and_jumps(text, p, e_res):
+    # entry l of the chain is tau(f^(1 - p^-l)): the chain ends at the left
+    # limit of tau at 1 and moves exactly where a jump lies below 1
+    f = parse_poly(make_ring(p, ["x", "y", "z"]), text)
+    report = hsl_number(f)
+    assert ideal_equal(report.stabilized, tau_left(f, 1))
+    jumps = jumps_in_unit_interval(f, e_res)
+    assert report.hsl == _hsl_from_largest_jump(jumps, p)

@@ -1,6 +1,7 @@
 """Ring construction, parsing, printing, and exact polynomial arithmetic."""
 
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +132,20 @@ def test_pow_base_p_examples():
     f = parse_poly(R7, "x^5+y^5+z^5")
     assert pow_base_p(f, 6) == poly_pow(f, 6)
     assert str(pow_base_p(f, 0)) == "1"
+
+
+def test_parse_powers_in_base_p():
+    # '^' builds f^m from digit powers of f, so a high power of a dense
+    # base costs no squaring of a dense polynomial
+    R = make_ring(7, ["x", "y"])
+    base = parse_poly(R, "x+y+1")
+    assert parse_poly(R, "(x+y+1)^60") == poly_pow(base, 60)
+    assert parse_poly(R, "(x+y+1)^0") == R.one()
+    assert parse_poly(R, "x^2^3") == parse_poly(R, "x^6")
+    start = time.process_time()
+    big = parse_poly(R, "(x+y+1)^3000")
+    assert time.process_time() - start < 1
+    assert big.total_degree() == 3000
 
 
 def test_zero_and_degree():

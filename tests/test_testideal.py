@@ -12,9 +12,9 @@ import charp.frobenius as frobenius_module
 import charp.ring as ring_module
 import charp.testideal as testideal_module
 from charp import (
+    ChainNotMonotone,
     CharpError,
     FptInterval,
-    GapClaim,
     Ideal,
     OutOfInterval,
     Polynomial,
@@ -24,7 +24,6 @@ from charp import (
     cartier_chain,
     fpt,
     frob_root,
-    gap_certificate,
     ideal_equal,
     ideal_product,
     ideal_subset,
@@ -112,9 +111,7 @@ X3 = parse_poly(R3, "x")
 @pytest.mark.parametrize("call", [
     lambda: cartier_chain(X3, 1, 10**7, unit_ideal(R3)),
     lambda: nu(X3, 10**7),
-    lambda: gap_certificate(X3, 1, 10**7, 1),
-    lambda: gap_certificate(X3, 1, 1, 10**7),
-], ids=["cartier_chain", "nu", "gap_certificate-e", "gap_certificate-d"])
+], ids=["cartier_chain", "nu"])
 def test_depth_guard_fires_before_the_power(call):
     # 3^(10^7) alone takes seconds to build
     start = time.process_time()
@@ -162,6 +159,14 @@ def test_cartier_chain_step_limit(monkeypatch):
     with pytest.raises(CharpError) as info:
         cartier_chain(QUINTIC, 6, 1, unit_ideal(R7))
     assert type(info.value) is CharpError
+
+
+def test_cartier_chain_asserts_its_direction():
+    # (y^5 * x)^[1/5] = (y): the first step leaves the seed (x) for an
+    # incomparable ideal, so the step is not the monotone chain map
+    R = make_ring(5, ["x", "y"])
+    with pytest.raises(ChainNotMonotone):
+        cartier_chain(parse_poly(R, "y^5"), 1, 1, ideal(R, "x"))
 
 
 @pytest.mark.parametrize("lam,expected_texts", [
@@ -444,20 +449,6 @@ def test_transport_out_of_interval():
         transport_jump(Fraction(1, 3), 6, 1, 7)
     with pytest.raises(OutOfInterval):
         transport_jump(Fraction(8, 7), 6, 1, 7)
-
-
-def test_gap_certificate_quintic():
-    claim = gap_certificate(QUINTIC, 6, 1, 4)
-    assert isinstance(claim, GapClaim)
-    assert claim.hi == 1 and claim.lo == 1 - Fraction(1, 7**4)
-    # cross-check: tau is constant on the certified-empty interval
-    assert ideal_equal(tau_left(QUINTIC, 1), tau(QUINTIC, claim.lo))
-
-
-def test_gap_certificate_refuses_a_false_claim():
-    # (6/7, 1) holds the certified jump 48/49, so there is no gap to claim
-    assert is_fjumping(QUINTIC, Fraction(48, 49)).is_jump()
-    assert gap_certificate(QUINTIC, 6, 1, 1) is None
 
 
 def test_jump_count_bound_examples():
