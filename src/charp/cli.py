@@ -61,7 +61,10 @@ def parse_prime_range(text: str):
     lo, sep, hi = text.partition("..")
     if not sep:
         raise UsageError(f"prime range must look like lo..hi, got {text!r}")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise UsageError(f"empty prime range {text!r}: {lo} > {hi}")
+    return lo, hi
 
 
 def parse_reports(text: str):
@@ -441,13 +444,12 @@ def _scan_row(*values):
 def run_scan(job, out) -> int:
     lo, hi = job.primes
     primes = [q for q in range(max(lo, 2), hi + 1) if is_prime(q)]
-    if not primes:
-        return 0
-
     writer = None
     if job.fmt == "csv":
         writer = csv.DictWriter(out, fieldnames=SCAN_FIELDS)
         writer.writeheader()
+    if not primes:
+        return 0
 
     tasks = [argparse.Namespace(**{**vars(job), "prime": q}) for q in primes]
     threads = min(job.threads, len(primes))

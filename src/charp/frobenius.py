@@ -14,21 +14,28 @@ generator degree. It is the workhorse behind every test-ideal chain.
 
 mixed_root memoizes whole root levels in the memo scope of its outermost
 call (see per_call_memo in ring.py): its table for f maps the digit r and
-the generator terms of J to the level (f^r * J)^[1/p]. Chains and grid
-probes of one search keep taking the same levels, because test-ideal chains
+a small int naming J to the level (f^r * J)^[1/p]. J's generator terms are
+hashed once, when mixed_root first meets that ideal object, to find its
+name; later lookups go by the object's identity. Chains and grid probes of
+one search keep taking the same levels, because test-ideal chains
 stabilize (Blickle-Mustata-Smith, "Discreteness and rationality of
 F-thresholds", Michigan Math. J. 2008): a round of the benchmark's
 diagonal jumps asks for 3,582 levels, of which 127 are new to their
 outermost call. A level is a pure function of its key, so a memo hit
 returns the same canonical ideal, byte for byte.
 
-One root level is monomial-first. Almost every residue class of f^r * J
-holds a single term, whose root is a monomial: those stay exponent tuples
-in a set, and only classes of several terms become Polynomials. A monomial
-generator x^u of J needs no product, by the scaled-root identity
-(x^(p*w) * h)^[1/p] = x^w * h^[1/p] (Blickle-Mustata-Smith, "Discreteness
-and rationality of F-thresholds", Michigan Math. J. 2008). A level whose
-classes are all single terms is a monomial ideal, minimalized once by
+The digit powers f^0, ..., f^(p-1) live in the same scope in one form
+only: split by residue class mod p. Each is split once, and the table
+grows by one product from the highest power built so far. One root level
+is monomial-first. Almost every residue class of f^r * J holds a single
+term, whose root is a monomial: those stay exponent tuples in a set, and
+only classes of several terms become Polynomials. A monomial generator x^u
+of J needs neither a product nor a split: class res of f^r lands in class
+(res + u) mod p of f^r * x^u, and its quotients gain the carry (res + u)
+div p. With u = p*w + s this is the scaled-root identity (x^(p*w) * h)^[1/p]
+= x^w * h^[1/p] (Blickle-Mustata-Smith, "Discreteness and rationality of
+F-thresholds", Michigan Math. J. 2008) applied to h = f^r * x^s. A level
+whose classes are all single terms is a monomial ideal, minimalized once by
 divisibility with no Buchberger run. Every level returns the canonical
 reduced basis, which is unique, so this route gives the same ideals, byte
 for byte, as rooting the product directly.
@@ -36,7 +43,7 @@ for byte, as rooting the product directly.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, floordiv, mod
 
 from .errors import ResourceLimit, RingMismatch
@@ -71,16 +78,14 @@ def bracket_power(I: Ideal, e: int) -> Ideal:
 
 
 def _classes(terms, q):
-    """Split the terms c * x^v as v = q * quo + res into {res: {quo: c}}.
+    """Group the terms c * x^v by residue class v mod q: {res: {v: c}}.
 
-    Distinct terms land on distinct (res, quo), so nothing cancels.
+    Distinct terms have distinct exponents, so nothing cancels.
     """
     classes = {}
     qs = repeat(q)
     for v, c in terms:
-        res = tuple(map(mod, v, qs))
-        quo = tuple(map(floordiv, v, qs))
-        classes.setdefault(res, {})[quo] = c
+        classes.setdefault(tuple(map(mod, v, qs)), {})[v] = c
     return classes
 
 
@@ -89,53 +94,112 @@ def frob_root(b: Ideal, e: int) -> Ideal:
     ring = b.ring
     _check_root_guard(ring.p, e)
     q = ring.p**e
+    qs = repeat(q)
     gens = []
     for h in b.gens:
         classes = _classes(h.terms, q)
         # sort classes for a deterministic generator list
         gens.extend(
-            ring.from_dict(classes[res])
+            ring.from_dict(
+                {tuple(map(floordiv, v, qs)): c for v, c in classes[res].items()}
+            )
             for res in sorted(classes, key=ring.desc_key)
         )
     return Ideal(ring, gens)
 
 
-def _root_level(fr: Polynomial, J: Ideal) -> Ideal:
-    """(fr * J)^[1/p], canonical.
+def _split(ring, terms):
+    """The terms c * x^v of a polynomial, split by residue class mod p.
 
-    A class holding one term roots to a monomial, kept as its exponent in
-    a set; only classes of several terms become Polynomials. A monomial
-    generator x^u of J, u = p*w + s with s < p, needs no product: its root
-    is x^w * (fr * x^s)^[1/p], and the second factor is computed once per
-    s. When every class is a single term the level is a monomial ideal and
-    skips Buchberger.
+    Returns (singles, multis): the terms alone in their class, and each
+    class of several terms as a tuple sorted descending.
+    """
+    singles, multis = [], []
+    for cls in _classes(terms, ring.p).values():
+        if len(cls) == 1:
+            singles.extend(cls.items())
+        else:
+            multis.append(tuple((v, cls[v]) for v in sorted(cls, key=ring.desc_key)))
+    return singles, multis
+
+
+def _split_times(ring, split, terms):
+    """The split of h * g, from the split of h and the terms of g."""
+    p = ring.p
+    out = {}
+    get = out.get
+    for v, c in chain(split[0], *split[1]):
+        for w, d in terms:
+            x = tuple(map(add, v, w))
+            out[x] = get(x, 0) + c * d
+    # reduce mod p and drop the coefficients that cancel
+    return _split(ring, ((x, c) for x, d in out.items() if (c := d % p)))
+
+
+def _digit_split(f: Polynomial, r: int):
+    """The split of f^r for a base-p digit 0 <= r < p, memoized in the
+    call's scope.
+
+    The table maps k to the split of f^k for k = 0, 1, ... and grows one
+    product at a time from the highest power built so far, f^k = f^(k-1) * f.
+    """
+    ring = f.ring
+    if not 0 <= r < ring.p:
+        raise ValueError(f"digit {r} is not in [0, {ring.p})")
+    table = call_memo("digit_split", f)
+    for k in range(len(table), r + 1):
+        table[k] = (
+            _split_times(ring, table[k - 1], f.terms)
+            if k
+            else ([((0,) * ring.nvars, 1)], [])
+        )
+    return table[r]
+
+
+def _class_roots(split, u, ps):
+    """The roots of the classes of h * x^u, from the split of h.
+
+    Multiplying by x^u moves class res of h to class (res + u) mod p, so
+    h * x^u has the classes of h, relabelled: each term c * x^v of a class
+    roots to c * x^((v + u) div p), the quotient of v plus the carry (res +
+    u) div p. Returns the exponents of the single-term roots and the term
+    tuples of the others, still sorted descending.
+    """
+    singles, multis = split
+    monos = [tuple(map(floordiv, map(add, v, u), ps)) for v, _ in singles]
+    polys = [
+        tuple((tuple(map(floordiv, map(add, v, u), ps)), c) for v, c in cls)
+        for cls in multis
+    ]
+    return monos, polys
+
+
+def _root_level(f: Polynomial, r: int, J: Ideal) -> Ideal:
+    """(f^r * J)^[1/p] for a base-p digit r, canonical.
+
+    A class of one term roots to a monomial, kept as its exponent in a set;
+    only classes of several terms become Polynomials. A monomial generator
+    x^u of J needs neither a product nor a split: the classes of f^r * x^u
+    are those of f^r, relabelled (see _class_roots). The generator f, the
+    seed of every tau chain, gives the next digit power f^(r+1), split
+    already or once; any other generator of several terms is multiplied in
+    split form and its product split. When every class is a single term the
+    level is a monomial ideal and skips Buchberger.
     """
     ring = J.ring
-    p = ring.p
+    ps = repeat(ring.p)
+    zero = (0,) * ring.nvars
+    fr = _digit_split(f, r)
     monos, polys = set(), []
-    shifted = {}  # s -> the root of fr * x^s: (single-term exponents, polys)
-
-    def split(terms):
-        single, multi = [], []
-        for cls in _classes(terms, p).values():
-            if len(cls) == 1:
-                single.extend(cls)
-            else:
-                multi.append(ring.from_dict(cls))
-        return single, multi
-
     for g in J.gens:
-        if len(g.terms) > 1:
-            single, multi = split((fr * g).terms)
-            monos.update(single)
-            polys.extend(multi)
-            continue
-        w, s = zip(*(divmod(x, p) for x in g.terms[0][0]))
-        if s not in shifted:
-            shifted[s] = split(fr.mul_term(s, 1).terms)
-        single, multi = shifted[s]
-        monos.update(tuple(map(add, w, quo)) for quo in single)
-        polys.extend(h.mul_term(w, 1) for h in multi)
+        if len(g.terms) == 1:
+            single, multi = _class_roots(fr, g.terms[0][0], ps)
+        elif g.terms == f.terms and r + 1 < ring.p:
+            single, multi = _class_roots(_digit_split(f, r + 1), zero, ps)
+        else:
+            single, multi = _class_roots(_split_times(ring, fr, g.terms), zero, ps)
+        monos.update(single)
+        polys.extend(Polynomial(ring, terms) for terms in multi)
     if not polys:
         return monomial_ideal(ring, monos)
     return canonical_ideal(
@@ -158,17 +222,26 @@ def mixed_root(f: Polynomial, m: int, I: Ideal, e: int) -> Ideal:
         raise ValueError("negative exponent")
     _check_root_guard(f.ring.p, e)
     p = f.ring.p
-    levels = call_memo("mixed_root", f)
+    levels = call_memo("mixed_root", f)  # (r, name of J) -> level
+    seen = call_memo("level_ideal", f)  # id(J) -> (J, name of J)
     J = I
     for _ in range(e):
         m, r = divmod(m, p)
-        key = (r, tuple(g.terms for g in J.gens))
+        named = seen.get(id(J))
+        if named is None:
+            # holding J keeps its id from being reused while the scope lasts
+            names = call_memo("level_name", f)
+            named = seen[id(J)] = (
+                J,
+                names.setdefault(tuple(g.terms for g in J.gens), len(names)),
+            )
+        key = (r, named[1])
         root = levels.get(key)
         if root is None:
             # each level is canonical: per-generator rooting multiplies
             # generator counts, and without minimalization the growth
             # compounds exponentially across levels
-            root = levels[key] = _root_level(f.digit_power(r), J)
+            root = levels[key] = _root_level(f, r, J)
         J = root
     if m:
         J = scale_ideal(pow_base_p(f, m), J)

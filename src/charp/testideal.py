@@ -37,7 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from functools import reduce
+from math import ceil, comb, lcm
 
 from .errors import (
     OutOfInterval,
@@ -251,16 +252,21 @@ def nu(f: Polynomial, e: int) -> NuValue:
 
 
 def _candidates_in_interval(p, lo: Fraction, hi: Fraction, a_max, s_max):
-    """All rationals r/(p^a(p^s-1)) in (lo, hi], ascending."""
-    values = set()
+    """All rationals r/(p^a(p^s-1)) in (lo, hi], ascending.
+
+    Each is k/M over the common denominator M = p^a_max * lcm(p^s - 1 :
+    s <= s_max), so the families are enumerated, merged and sorted as
+    integers k, and only the distinct ones become Fractions.
+    """
+    M = p**a_max * reduce(lcm, (p**s - 1 for s in range(1, s_max + 1)), 1)
+    k_lo = lo.numerator * M // lo.denominator  # k > lo*M
+    k_hi = hi.numerator * M // hi.denominator  # k <= hi*M
+    ks = set()
     for a in range(a_max + 1):
         for s in range(1, s_max + 1):
-            den = p**a * (p**s - 1)
-            r_lo = int(lo * den)  # r > lo*den
-            r_hi = int(hi * den)  # r <= hi*den
-            for r in range(r_lo + 1, r_hi + 1):
-                values.add(Fraction(r, den))
-    return sorted(values)
+            step = M // (p**a * (p**s - 1))
+            ks.update(range((k_lo // step + 1) * step, k_hi + 1, step))
+    return [Fraction(k, M) for k in sorted(ks)]
 
 
 def _capped_depth(p: int, wanted: int) -> int:

@@ -12,8 +12,9 @@ from types import SimpleNamespace
 import pytest
 
 import charp.cli as cli_mod
+import charp.frobenius as frobenius
 import charp.ring as ring_module
-from charp import CharpError, Polynomial
+from charp import CharpError
 from charp.cli import (
     COMMANDS,
     build_parser,
@@ -249,9 +250,27 @@ def test_scan_depth_is_fpt_depth_only():
     assert out.splitlines()[1].startswith("7,hsl,2,ok,")
 
 
-def test_scan_empty_range_is_silent():
+def test_scan_range_without_primes_prints_the_header():
     r = cli("scan", "--primes", "24..28", "--vars", "x", "-f", "x")
-    assert (r.returncode, r.stdout) == (0, "")
+    assert (r.returncode, r.stdout) == (0, "prime,invariant,value,status,wall_ms\n")
+
+
+def test_scan_range_without_primes_prints_no_json_rows():
+    code, out, _ = run_job("scan", "--primes", "24..28", "--vars", "x", "-f", "x",
+                           "--format", "json")
+    assert (code, out) == (0, "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_reversed_range_is_a_usage_error(fmt):
+    r = cli("scan", "--primes", "5..2", "--vars", "x", "-f", "x", "--format", fmt)
+    assert r.returncode == 1
+    assert r.stderr.startswith("charp:") and "5 > 2" in r.stderr
+    if fmt == "json":
+        assert len(r.stdout.splitlines()) == 1
+        assert set(json.loads(r.stdout)) == {"error"}
+    else:
+        assert r.stdout == ""
 
 
 def test_scan_records_timeout():
@@ -370,19 +389,19 @@ def test_scan_reports_share_one_memo_scope_per_prime(monkeypatch):
     # scan parses f once per prime, and the reports at that prime run in
     # one memo scope: every digit power at a prime sees the same scope
     parsed, scopes = [], {}
-    real_parse, real_digit_power = cli_mod.parse_poly, Polynomial.digit_power
+    real_parse, real_digit_split = cli_mod.parse_poly, frobenius._digit_split
 
     def parse(ring, text):
         parsed.append(real_parse(ring, text))
         return parsed[-1]
 
-    def digit_power(g, r):
+    def digit_split(g, r):
         scope = ring_module._SCOPE.get()
         scopes.setdefault(g.ring.p, {})[id(scope)] = scope  # held, so ids stay distinct
-        return real_digit_power(g, r)
+        return real_digit_split(g, r)
 
     monkeypatch.setattr(cli_mod, "parse_poly", parse)
-    monkeypatch.setattr(Polynomial, "digit_power", digit_power)
+    monkeypatch.setattr(frobenius, "_digit_split", digit_split)
     code, _, _ = run_job(*SHARED_SCAN)
     assert code == 0
     assert [f.ring.p for f in parsed] == [2, 3, 5, 7]

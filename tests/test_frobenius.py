@@ -3,8 +3,10 @@
 import random
 import time
 from collections import Counter
+from itertools import repeat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import charp.frobenius as frobenius
 import charp.testideal as testideal
@@ -18,6 +20,7 @@ from charp import (
     frob_root,
     ideal_equal,
     ideal_subset,
+    jumps_in_unit_interval,
     make_ring,
     mixed_root,
     parse_poly,
@@ -176,7 +179,7 @@ def levels_one_by_one(f, m, I, e):
     J = I
     for _ in range(e):
         m, r = divmod(m, f.ring.p)
-        J = frobenius._root_level(poly_pow(f, r), J)
+        J = frobenius._root_level(f, r, J)
     return scale_ideal(poly_pow(f, m), J) if m else J
 
 
@@ -213,9 +216,9 @@ def test_chain_takes_each_level_once(monkeypatch):
     levels, real_level = Counter(), frobenius._root_level
     asked, real_root = [], testideal.mixed_root
 
-    def root_level(fr, J):
-        levels[fr.terms, tuple(g.terms for g in J.gens)] += 1
-        return real_level(fr, J)
+    def root_level(g, r, J):
+        levels[g.terms, r, tuple(h.terms for h in J.gens)] += 1
+        return real_level(g, r, J)
 
     def mixed_root(g, m, I, e):
         asked.append(e)
@@ -226,6 +229,81 @@ def test_chain_takes_each_level_once(monkeypatch):
     cartier_chain(f, 1, 3, Ideal(R, [f]))
     assert set(levels.values()) == {1}
     assert sum(asked) > len(levels)
+
+
+def class_roots(split, u, p):
+    monos, polys = frobenius._class_roots(split, u, repeat(p))
+    return sorted(monos), sorted(polys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_relabelled_split_matches_direct_split(data):
+    # class res of f^r lands in class (res + s) mod p of f^r * x^s, and
+    # its quotients gain the carry (res + s) div p
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    ring = make_ring(p, ["x", "y", "z"])
+    f = ring.from_dict(data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * 3), st.integers(1, p - 1),
+        min_size=1, max_size=4,
+    )))
+    r = data.draw(st.integers(0, p - 1))
+    s = data.draw(st.tuples(*[st.integers(0, p - 1)] * 3))
+    fr = poly_pow(f, r)
+    shifted = fr.mul_term(s, 1)
+    relabelled = {
+        tuple((a + b) % p for a, b in zip(res, s)): {
+            tuple(x // p + (a + b) // p for x, a, b in zip(v, res, s)): c
+            for v, c in cls.items()
+        }
+        for res, cls in frobenius._classes(fr.terms, p).items()
+    }
+    direct = {
+        res: {tuple(x // p for x in v): c for v, c in cls.items()}
+        for res, cls in frobenius._classes(shifted.terms, p).items()
+    }
+    assert relabelled == direct
+    # the roots a level takes from the split of f^r are those of the split
+    # of f^r * x^s, and the scope's digit power is the split of f^r
+    zero = (0, 0, 0)
+    split = frobenius._split(ring, fr.terms)
+    assert class_roots(split, s, p) == class_roots(
+        frobenius._split(ring, shifted.terms), zero, p
+    )
+    assert class_roots(frobenius._digit_split(f, r), zero, p) == class_roots(
+        split, zero, p
+    )
+
+
+def test_jumps_split_each_digit_power_once(monkeypatch):
+    # a level roots f^r * x^u from the classes of f^r, so in one outermost
+    # call the splits are one per digit power f^1 .. f^(p-1) (f^0 = 1 needs
+    # none) and at most one per product of f^r with a generator of several
+    # terms; splitting per shift would take one per distinct u mod p too
+    R = make_ring(7, ["x", "y", "z"])
+    f = parse_poly(R, "x^5+y^5+z^5")
+    splits, products, shifts = Counter(), [], []
+    real_classes, real_level = frobenius._classes, frobenius._root_level
+
+    def classes(terms, q):
+        terms = tuple(terms)
+        splits[frozenset(terms)] += 1
+        return real_classes(terms, q)
+
+    def root_level(*args):
+        J = args[-1]
+        products.extend(g for g in J.gens if len(g.terms) > 1)
+        shifts.extend({tuple(x % 7 for x in g.terms[0][0])
+                       for g in J.gens if len(g.terms) == 1})
+        return real_level(*args)
+
+    monkeypatch.setattr(frobenius, "_classes", classes)
+    monkeypatch.setattr(frobenius, "_root_level", root_level)
+    certs = jumps_in_unit_interval(f, 3)
+    assert [str(c.value) for c in certs] == ["4/7", "5/7", "6/7", "48/49"]
+    assert set(splits.values()) == {1}
+    assert sum(splits.values()) <= 6 + len(products)
+    assert len(shifts) > 6 + len(products)
 
 
 @pytest.mark.parametrize("p,seed", [(2, 10), (5, 11), (7, 12)])

@@ -2,15 +2,18 @@
 
 import pickle
 import time
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import charp.ring as ring_module
 from charp import (
     BadVariableName,
     DuplicateVariable,
     EmptyVariableList,
     NotPrime,
+    Polynomial,
     PolySyntaxError,
     RingMismatch,
     UnknownVariable,
@@ -23,6 +26,7 @@ from charp import (
     pow_base_p,
     unit_ideal,
 )
+from charp.frobenius import _digit_split
 from charp.ring import call_memo, per_call_memo
 
 
@@ -287,27 +291,40 @@ def test_mul_drops_coefficients_that_cancel(p, a, b, product):
     assert_mul_is_naive(R, dict(f.terms), dict(g.terms))
 
 
+def digit_power(f, r):
+    """f^r, joined back from the split the memo scope holds."""
+    singles, multis = _digit_split(f, r)
+    for cls in multis:
+        # a class of several terms: one residue mod p, sorted descending
+        assert len({tuple(x % f.ring.p for x in v) for v, _ in cls}) == 1
+        assert list(cls) == sorted(cls, key=lambda t: f.ring.desc_key(t[0]))
+    return f.ring.from_dict(dict(chain(singles, *multis)))
+
+
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_digit_power_matches_direct_power(p):
     R = make_ring(p, ["x", "y", "z"])
     f = parse_poly(R, "x^2 + 3*x*y + z + 1")
     # ask out of order so that the memo grows more than once
     for r in [1, 0, p - 1] + list(range(p)):
-        assert f.digit_power(r).terms == (f**r).terms
+        assert digit_power(f, r).terms == (f**r).terms
 
 
 @pytest.mark.parametrize("r", [-1, 5])
 def test_digit_power_rejects_non_digits(r):
     f = parse_poly(make_ring(5, ["x"]), "x+1")
     with pytest.raises(ValueError):
-        f.digit_power(r)
+        _digit_split(f, r)
 
 
 def fill_memos(f):
     # inside a scope: fills the digit powers and root levels of f's value
-    f.digit_power(f.ring.p - 1)
+    _digit_split(f, f.ring.p - 1)
     mixed_root(f, f.ring.p + 1, unit_ideal(f.ring), 2)
-    assert call_memo("digit_power", f) and call_memo("mixed_root", f)
+    assert call_memo("digit_split", f) and call_memo("mixed_root", f)
+    # the digit powers are held split only: no table keeps a Polynomial
+    tables = ring_module._SCOPE.get().values()
+    assert not any(isinstance(v, Polynomial) for t in tables for v in t.values())
 
 
 @per_call_memo
@@ -329,4 +346,4 @@ def test_ring_and_memoized_polynomial_pickle():
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         g = pickle.loads(pickle.dumps(f, protocol))
         assert g == f and g.ring.order == "lex"
-        assert g.digit_power(4) == f**4
+        assert digit_power(g, 4) == f**4

@@ -321,23 +321,53 @@ def test_jumps_grid_reuses_coarse_cells(monkeypatch):
     assert len(calls) < 59
 
 
+def naive_candidates(p, lo, hi, a_max, s_max):
+    """Every r/(p^a(p^s-1)) in (lo, hi], one Fraction per (a, s, r)."""
+    values = set()
+    for a in range(a_max + 1):
+        for s in range(1, s_max + 1):
+            den = p**a * (p**s - 1)
+            for r in range(int(lo * den) + 1, int(hi * den) + 1):
+                values.add(Fraction(r, den))
+    return sorted(values)
+
+
+def test_integer_candidates_match_fraction_enumeration():
+    rng = random.Random(13)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        a_max, s_max = rng.randrange(4), rng.randrange(4)
+        depth = a_max + s_max
+        if rng.random() < 0.5:
+            # a cell of the searches: ((m-1)/p^depth, m/p^depth]
+            m = rng.randrange(1, p**depth + 1)
+            lo, hi = Fraction(m - 1, p**depth), Fraction(m, p**depth)
+        else:
+            # any rationals, a few cells wide
+            lo = Fraction(rng.randrange(50), rng.randrange(1, 50))
+            hi = lo + Fraction(rng.randrange(1, 4), p ** max(depth - 2, 0))
+        got = testideal_module._candidates_in_interval(p, lo, hi, a_max, s_max)
+        assert got == naive_candidates(p, lo, hi, a_max, s_max)
+        assert all(type(lam) is Fraction for lam in got)
+
+
 def test_calls_keep_no_digit_power_memo(monkeypatch):
     # the outermost call opens one memo scope that every nested call
     # shares and that is dropped when it returns, so a repeated call does
     # the same work and no memo outlives its call
     products, tables = [], []
-    real_mul, real_digit_power = Polynomial.__mul__, Polynomial.digit_power
+    real_mul, real_digit_split = Polynomial.__mul__, frobenius_module._digit_split
 
     def mul(a, b):
         products.append(1)
         return real_mul(a, b)
 
-    def digit_power(g, r):
-        tables.append(call_memo("digit_power", g))
-        return real_digit_power(g, r)
+    def digit_split(g, r):
+        tables.append(call_memo("digit_split", g))
+        return real_digit_split(g, r)
 
     monkeypatch.setattr(Polynomial, "__mul__", mul)
-    monkeypatch.setattr(Polynomial, "digit_power", digit_power)
+    monkeypatch.setattr(frobenius_module, "_digit_split", digit_split)
     f = parse_poly(make_ring(5, ["x", "y"]), "x^3+y^2")
     calls = {
         "fpt": lambda: fpt(f).value,
@@ -363,9 +393,9 @@ def test_equal_polynomials_share_root_levels(monkeypatch):
     counts = []
     real_root_level = frobenius_module._root_level
 
-    def root_level(fr, J):
+    def root_level(h, r, J):
         counts[-1] += 1
-        return real_root_level(fr, J)
+        return real_root_level(h, r, J)
 
     monkeypatch.setattr(frobenius_module, "_root_level", root_level)
     R = make_ring(7, ["x", "y", "z"])
