@@ -176,6 +176,22 @@ def _check_same_ring(a, b):
         raise RingMismatch(f"{a.ring!r} vs {b.ring!r}")
 
 
+def _product_terms(a, b):
+    """The product of the term sequences a and b as {exponents: coeff}.
+
+    The coefficients are not yet reduced mod p, and those that cancel are
+    still there: Polynomial.__mul__ passes the result to from_dict, and
+    frobenius splits it by residue class.
+    """
+    out = {}
+    get = out.get
+    for u, c in a:
+        for v, d in b:
+            w = tuple(map(add, u, v))
+            out[w] = get(w, 0) + c * d
+    return out
+
+
 class Polynomial:
     __slots__ = ("ring", "terms")
 
@@ -244,14 +260,8 @@ class Polynomial:
         _check_same_ring(self, other)
         if not self.terms or not other.terms:
             return self.ring.zero()
-        out = {}
-        get = out.get
-        for u, c in self.terms:
-            for v, d in other.terms:
-                w = tuple(map(add, u, v))
-                out[w] = get(w, 0) + c * d
         # from_dict reduces mod p and drops the coefficients that cancel
-        return self.ring.from_dict(out)
+        return self.ring.from_dict(_product_terms(self.terms, other.terms))
 
     def mul_term(self, exponents, coeff):
         """Multiply by the single term coeff * x^exponents."""

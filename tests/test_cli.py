@@ -274,9 +274,11 @@ def test_scan_reversed_range_is_a_usage_error(fmt):
 
 
 def test_scan_records_timeout():
-    # fpt of this quartic at p = 47 runs far past one second
-    r = cli("scan", "--primes", "47..47", "--vars", "x,y,z",
-            "-f", "x^4+x*y^3+y^2*z^2+z^5", "--report", "fpt",
+    # fpt of this quartic in four variables at p = 47 (44/47) takes 26 s on
+    # one 2-vCPU x86-64 core, where x^4+x*y^3+y^2*z^2+z^5 takes 3 s, so the
+    # one-second budget runs out long before it could finish
+    r = cli("scan", "--primes", "47..47", "--vars", "x,y,z,w",
+            "-f", "x^4+x*y^3+y^2*z^2+z^5+w^5", "--report", "fpt",
             "--timeout-secs", "1")
     assert r.returncode == 2
     row = r.stdout.strip().splitlines()[1]

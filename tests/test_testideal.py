@@ -3,6 +3,7 @@
 import gc
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -354,19 +355,34 @@ def test_integer_candidates_match_fraction_enumeration():
 def test_calls_keep_no_digit_power_memo(monkeypatch):
     # the outermost call opens one memo scope that every nested call
     # shares and that is dropped when it returns, so a repeated call does
-    # the same work and no memo outlives its call
-    products, tables = [], []
-    real_mul, real_digit_split = Polynomial.__mul__, frobenius_module._digit_split
+    # the same work and no memo outlives its call: a digit-power table or
+    # root level kept from the first call would show as fewer products,
+    # splits or levels in the second
+    work, tables = Counter(), []
+    real_mul = Polynomial.__mul__
+    real_digit_split = frobenius_module._digit_split
+    real_split_times = frobenius_module._split_times
+    real_root_level = frobenius_module._root_level
 
     def mul(a, b):
-        products.append(1)
+        work["mul"] += 1
         return real_mul(a, b)
+
+    def split_times(ring, split, terms):
+        work["split_times"] += 1
+        return real_split_times(ring, split, terms)
+
+    def root_level(f, r, J):
+        work["root_level"] += 1
+        return real_root_level(f, r, J)
 
     def digit_split(g, r):
         tables.append(call_memo("digit_split", g))
         return real_digit_split(g, r)
 
     monkeypatch.setattr(Polynomial, "__mul__", mul)
+    monkeypatch.setattr(frobenius_module, "_split_times", split_times)
+    monkeypatch.setattr(frobenius_module, "_root_level", root_level)
     monkeypatch.setattr(frobenius_module, "_digit_split", digit_split)
     f = parse_poly(make_ring(5, ["x", "y"]), "x^3+y^2")
     calls = {
@@ -375,14 +391,18 @@ def test_calls_keep_no_digit_power_memo(monkeypatch):
         "jumps": lambda: [c.value for c in jumps_in_unit_interval(f, 2)],
     }
     for name, call in calls.items():
-        counts, results = [], []
+        counts, results, first_tables = [], [], []
         for _ in range(2):
-            products.clear()
+            work.clear()
             tables.clear()
             results.append(call())
-            counts.append(len(products))
+            counts.append(dict(work))
             assert tables and all(t is tables[0] for t in tables), name
             assert ring_module._SCOPE.get() is None, name
+            # a table held past its call is not the next call's table
+            assert all(tables[0] is not t for t in first_tables), name
+            first_tables.append(tables[0])
+        assert counts[0]["split_times"] > 0 and counts[0]["root_level"] > 0, name
         assert counts[0] == counts[1] and results[0] == results[1], name
     assert calls["fpt"]() == Fraction(4, 5)
 
