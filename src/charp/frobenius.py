@@ -119,14 +119,28 @@ def _split(ring, terms):
     """The terms c * x^v of a polynomial, split by residue class mod p.
 
     Returns (singles, multis): the terms alone in their class, and each
-    class of several terms as a tuple sorted descending.
+    class of several terms as a tuple sorted descending, both in the order
+    in which their classes first occur. Almost every class holds one term,
+    so one dict keeps the first term of each class, and only a class that
+    meets a second term gets a list of its own.
     """
+    ps = repeat(ring.p)
+    first, many = {}, {}
+    for term in terms:
+        res = tuple(map(mod, term[0], ps))
+        seen = first.setdefault(res, term)
+        if seen is not term:
+            many.setdefault(res, [seen]).append(term)
+    if not many:
+        return list(first.values()), []
     singles, multis = [], []
-    for cls in _classes(terms, ring.p).values():
-        if len(cls) == 1:
-            singles.extend(cls.items())
+    key = ring.desc_key
+    for res, term in first.items():
+        cls = many.get(res)
+        if cls is None:
+            singles.append(term)
         else:
-            multis.append(tuple((v, cls[v]) for v in sorted(cls, key=ring.desc_key)))
+            multis.append(tuple(sorted(cls, key=lambda t: key(t[0]))))
     return singles, multis
 
 

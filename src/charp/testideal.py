@@ -232,22 +232,31 @@ def is_fjumping(f: Polynomial, lam) -> JumpCertificate:
 
 @per_call_memo
 def nu(f: Polynomial, e: int) -> NuValue:
-    """Largest m with (f^m)^[1/p^e] = (1).
+    """Largest m with (f^m)^[1/p^e] = (1), found one base-p digit per level.
 
-    Monotone binary search; m = p^e is always a safe upper bound because
-    tau(f^1) = (f) is proper for a nonunit f.
+    nu(k) = ceil(fpt * p^k) - 1, so nu(k) lies in [p*nu(k-1), p*nu(k-1) +
+    p - 1] (Mustata-Takagi-Watanabe, "F-thresholds and Bernstein-Sato
+    polynomials", 2005): by (f^(p*m))^[1/p^k] = (f^m)^[1/p^(k-1)], the
+    exponent p*nu(k-1) roots to (1) at depth k and p*nu(k-1) + p to a
+    proper ideal. Each level k = 1..e bisects those p values at depth k,
+    starting from nu(0) = 0: at depth 1, f^0 roots to (1) and f^p to (f),
+    proper for a nonunit f. Every probe at depth k carries the digits of
+    nu(k-1) above its lowest one, so most of its root levels repeat those of
+    earlier probes and come from the memo.
     """
     _require_nonzero(f)
     _require_nonunit(f)
     p = f.ring.p
     _check_root_guard(p, e)
-    lo, hi = 0, p**e  # root(lo) unit, root(hi) proper
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tau_ppower(f, mid, e).is_unit():
-            lo = mid
-        else:
-            hi = mid
+    lo = 0
+    for k in range(1, e + 1):
+        lo, hi = p * lo, p * lo + p  # root(lo) unit, root(hi) proper
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if tau_ppower(f, mid, k).is_unit():
+                lo = mid
+            else:
+                hi = mid
     return NuValue(e=e, nu=lo)
 
 

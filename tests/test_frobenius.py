@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import repeat
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import charp.frobenius as frobenius
 import charp.testideal as testideal
@@ -275,6 +275,41 @@ def test_relabelled_split_matches_direct_split(data):
     )
 
 
+def split_by_classes(ring, terms):
+    # the split as a dict per residue class gives it
+    singles, multis = [], []
+    for cls in frobenius._classes(terms, ring.p).values():
+        if len(cls) == 1:
+            singles.extend(cls.items())
+        else:
+            multis.append(tuple((v, cls[v]) for v in sorted(cls, key=ring.desc_key)))
+    return singles, multis
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    order=st.sampled_from(["grevlex", "lex"]),
+    terms=st.dictionaries(
+        st.tuples(*[st.integers(0, 15)] * 2), st.integers(1, 6), max_size=12
+    ),
+)
+@example(p=3, order="grevlex", terms={(0, 1): 1, (3, 1): 2, (1, 0): 1, (6, 4): 1})
+def test_split_matches_split_by_classes(p, order, terms):
+    # singles and multis come out as the per-class dicts give them, in the
+    # order in which their classes first occur, whatever the term order
+    ring = make_ring(p, ["x", "y"], order)
+    terms = [(v, c % p or 1) for v, c in terms.items()]
+    singles, multis = frobenius._split(ring, iter(terms))
+    assert (singles, multis) == split_by_classes(ring, terms)
+    assert sorted(singles + [t for cls in multis for t in cls]) == sorted(terms)
+    for cls in multis:
+        assert len(cls) > 1
+        assert len({tuple(x % p for x in v) for v, _ in cls}) == 1
+        keys = [ring.sort_key(v) for v, _ in cls]
+        assert keys == sorted(keys, reverse=True)
+
+
 def test_jumps_split_each_digit_power_once(monkeypatch):
     # a level roots f^r * x^u from the classes of f^r, so in one outermost
     # call the splits are one per digit power f^1 .. f^(p-1) (f^0 = 1 needs
@@ -283,12 +318,12 @@ def test_jumps_split_each_digit_power_once(monkeypatch):
     R = make_ring(7, ["x", "y", "z"])
     f = parse_poly(R, "x^5+y^5+z^5")
     splits, products, shifts = Counter(), [], []
-    real_classes, real_level = frobenius._classes, frobenius._root_level
+    real_split, real_level = frobenius._split, frobenius._root_level
 
-    def classes(terms, q):
+    def split(ring, terms):
         terms = tuple(terms)
         splits[frozenset(terms)] += 1
-        return real_classes(terms, q)
+        return real_split(ring, terms)
 
     def root_level(*args):
         J = args[-1]
@@ -297,7 +332,7 @@ def test_jumps_split_each_digit_power_once(monkeypatch):
                        for g in J.gens if len(g.terms) == 1})
         return real_level(*args)
 
-    monkeypatch.setattr(frobenius, "_classes", classes)
+    monkeypatch.setattr(frobenius, "_split", split)
     monkeypatch.setattr(frobenius, "_root_level", root_level)
     certs = jumps_in_unit_interval(f, 3)
     assert [str(c.value) for c in certs] == ["4/7", "5/7", "6/7", "48/49"]

@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import charp.frobenius as frobenius_module
 import charp.ring as ring_module
@@ -17,6 +18,7 @@ from charp import (
     CharpError,
     FptInterval,
     Ideal,
+    NuValue,
     OutOfInterval,
     Polynomial,
     ResourceLimit,
@@ -42,6 +44,7 @@ from charp import (
     transport_jump,
     unit_ideal,
 )
+from charp.lucas import multinomial_nonzero
 from charp.ring import call_memo, per_call_memo
 
 R7 = make_ring(7, ["x", "y", "z"])
@@ -223,6 +226,114 @@ def test_nu_rejects_unit_and_zero():
         nu(R7.one(), 1)
     with pytest.raises(ZeroPolynomial):
         nu(R7.zero(), 1)
+
+
+def nu_by_bisection(f, e):
+    # the largest m in [0, p^e) with (f^m)^[1/p^e] = (1), bisected at full
+    # depth: (f^(p^e))^[1/p^e] = (f) is proper
+    lo, hi = 0, f.ring.p**e
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tau_ppower(f, mid, e).is_unit():
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_nu_matches_bisection_at_full_depth(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    ring = make_ring(p, ["x", "y"])
+    exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any)
+    f = ring.from_dict(data.draw(st.dictionaries(
+        exponents, st.integers(1, p - 1), min_size=1, max_size=3,
+    )))
+    e = data.draw(st.integers(1, 3))
+    assert nu(f, e) == NuValue(e=e, nu=nu_by_bisection(f, e))
+
+
+def carry_free_compositions(N, n, bound, p, e):
+    """The compositions a of N into n parts a_i <= bound whose base-p
+    digits add up to N's without a carry: by Lucas' theorem exactly those
+    with a multinomial coefficient nonzero mod p. Built digit by digit from
+    the top; a part whose digits so far equal bound's is still tight."""
+    if N >= p**e:
+        return
+    place = [p**j for j in reversed(range(e))]
+    N_digits = [N // q % p for q in place]
+    bound_digits = [bound // q % p for q in place]
+
+    def splits(total, n):
+        if n == 1:
+            yield (total,)
+            return
+        for c in range(total, -1, -1):
+            for rest in splits(total - c, n - 1):
+                yield (c,) + rest
+
+    def walk(j, tight, parts):
+        if j == e:
+            yield tuple(parts)
+            return
+        for digits in splits(N_digits[j], n):
+            if any(t and c > bound_digits[j] for t, c in zip(tight, digits)):
+                continue
+            yield from walk(
+                j + 1,
+                [t and c == bound_digits[j] for t, c in zip(tight, digits)],
+                [a + c * place[j] for a, c in zip(parts, digits)],
+            )
+
+    yield from walk(0, [True] * n, [0] * n)
+
+
+def diagonal_nu(d, n, p, e):
+    """nu(e) of x_1^d + ... + x_n^d without any root: f^N is the sum of the
+    multinomial(N; a) x^(d*a) over the compositions a of N, no two with one
+    monomial, and f^N is homogeneous, so (f^N)^[1/p^e] = (1) exactly when
+    some a has d*a_i < p^e for every i and a nonzero multinomial mod p."""
+    bound = (p**e - 1) // d
+    for N in range(n * bound, -1, -1):
+        for a in carry_free_compositions(N, n, bound, p, e):
+            if multinomial_nonzero(N, a, p):
+                return N
+    raise AssertionError("the zero composition always qualifies")
+
+
+def test_carry_free_compositions_are_the_nonzero_multinomials():
+    # the digit-by-digit walk lists exactly the compositions that the
+    # Lucas test accepts, checked against every composition at small sizes
+    for p, e, bound in [(2, 3, 5), (3, 2, 4), (5, 1, 4), (7, 2, 16)]:
+        for N in range(3 * bound + 2):
+            everything = {
+                (a, b, N - a - b)
+                for a in range(bound + 1)
+                for b in range(bound + 1)
+                if 0 <= N - a - b <= bound
+                and multinomial_nonzero(N, (a, b, N - a - b), p)
+            }
+            walked = list(carry_free_compositions(N, 3, bound, p, e))
+            assert len(walked) == len(set(walked))
+            assert set(walked) == everything, (p, e, bound, N)
+
+
+@pytest.mark.parametrize("d,primes", [
+    (3, [2, 3, 5, 7, 11, 13, 17, 19]),
+    (5, [2, 3, 5, 7, 11, 13]),
+])
+def test_nu_of_diagonal_forms_matches_lucas(d, primes):
+    for p in primes:
+        f = parse_poly(make_ring(p, ["x", "y", "z"]), f"x^{d}+y^{d}+z^{d}")
+        for e in (1, 2, 3):
+            assert nu(f, e).nu == diagonal_nu(d, 3, p, e), (p, e)
+
+
+def test_nu_at_depth_zero_is_zero():
+    # (f^m)^[1/1] = (f^m) is proper for every m >= 1
+    assert nu(QUINTIC, 0) == NuValue(e=0, nu=0)
+    assert nu(parse_poly(make_ring(2, ["x"]), "x"), 0).nu == 0
 
 
 @pytest.mark.parametrize("p,expected", [
@@ -409,7 +520,8 @@ def test_calls_keep_no_digit_power_memo(monkeypatch):
 
 def test_equal_polynomials_share_root_levels(monkeypatch):
     # the scope keys its tables by value: fpt on an equal but distinct g
-    # takes every root level from f's run
+    # takes every root level from f's run; f's run computes 10, since the
+    # probes of nu's digit-wise search share most of their levels
     counts = []
     real_root_level = frobenius_module._root_level
 
@@ -430,7 +542,7 @@ def test_equal_polynomials_share_root_levels(monkeypatch):
         return results
 
     assert both() == [Fraction(4, 7)] * 2
-    assert counts == [26, 0]
+    assert counts == [10, 0]
 
 
 def cubic_hasse_invariant(p):
