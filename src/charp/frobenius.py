@@ -26,29 +26,40 @@ returns the same canonical ideal, byte for byte.
 
 The digit powers f^0, ..., f^(p-1) live in the same scope in one form
 only: split by residue class mod p. Each is split once, and the table
-grows by one product from the highest power built so far. One root level
-is monomial-first. Almost every residue class of f^r * J holds a single
-term, whose root is a monomial: those stay exponent tuples in a set, and
-only classes of several terms become Polynomials. A monomial generator x^u
-of J needs neither a product nor a split: class res of f^r lands in class
-(res + u) mod p of f^r * x^u, and its quotients gain the carry (res + u)
-div p. With u = p*w + s this is the scaled-root identity (x^(p*w) * h)^[1/p]
-= x^w * h^[1/p] (Blickle-Mustata-Smith, "Discreteness and rationality of
-F-thresholds", Michigan Math. J. 2008) applied to h = f^r * x^s. A level
-whose classes are all single terms is a monomial ideal, minimalized once by
-divisibility with no Buchberger run. Every level returns the canonical
-reduced basis, which is unique, so this route gives the same ideals, byte
-for byte, as rooting the product directly.
+grows by one product from the highest power built so far. The classes of
+one term, almost all of them, are held as exponent columns: one tuple per
+variable, whose i-th entry is that variable's exponent in the i-th term,
+and one tuple of their coefficients. The classes of several terms stay
+term tuples sorted descending. The three kernels on these tables work a
+whole column at a time, with map and zip, which loop in C:
+ring._product_terms shifts the columns of the long factor by each term of
+the short one, and only its merge into a dict runs per term; _split takes
+the residues of a column with one map; _class_roots takes the quotients of
+a column with one map.
+
+One root level is monomial-first. Almost every residue class of f^r * J
+holds a single term, whose root is a monomial: those stay exponent tuples
+in a set, and only classes of several terms become Polynomials. A monomial
+generator x^u of J needs neither a product nor a split: class res of f^r
+lands in class (res + u) mod p of f^r * x^u, and its quotients gain the
+carry (res + u) div p. With u = p*w + s this is the scaled-root identity
+(x^(p*w) * h)^[1/p] = x^w * h^[1/p] (Blickle-Mustata-Smith, "Discreteness
+and rationality of F-thresholds", Michigan Math. J. 2008) applied to h =
+f^r * x^s. A level whose classes are all single terms is a monomial ideal,
+minimalized once by divisibility with no Buchberger run. Every level
+returns the canonical reduced basis, which is unique, so this route gives
+the same ideals, byte for byte, as rooting the product directly.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, floordiv, mod
 
 from .errors import ResourceLimit, RingMismatch
 from .ring import (
     Polynomial,
+    _columns,
     _product_terms,
     call_memo,
     frob_power,
@@ -115,41 +126,55 @@ def frob_root(b: Ideal, e: int) -> Ideal:
     return Ideal(ring, gens)
 
 
-def _split(ring, terms):
-    """The terms c * x^v of a polynomial, split by residue class mod p.
+def _split(ring, exponents, coeffs):
+    """The terms coeffs[i] * x^exponents[i] of a polynomial, given as two
+    tuples, split by residue class mod p.
 
-    Returns (singles, multis): the terms alone in their class, and each
-    class of several terms as a tuple sorted descending, both in the order
-    in which their classes first occur. Almost every class holds one term,
-    so one dict keeps the first term of each class, and only a class that
-    meets a second term gets a list of its own.
+    Returns (singles, multis): the terms alone in their class, as exponent
+    columns with their coefficients (see ring._columns), and each class of
+    several terms as a tuple sorted descending. Both keep the order in
+    which their classes first occur. The residues come a column at a time;
+    almost every class holds one term, and when every class does, the
+    columns of the terms are the singles as they stand.
     """
+    columns = _columns(exponents, ring.nvars)
     ps = repeat(ring.p)
-    first, many = {}, {}
-    for term in terms:
-        res = tuple(map(mod, term[0], ps))
-        seen = first.setdefault(res, term)
-        if seen is not term:
-            many.setdefault(res, [seen]).append(term)
-    if not many:
-        return list(first.values()), []
-    singles, multis = [], []
+    residues = tuple(zip(*[map(mod, col, ps) for col in columns]))
+    n = len(residues)
+    last = dict(zip(residues, count()))
+    if len(last) == n:
+        return (columns, coeffs), []
+    # a term is alone in its class iff it is both the first and the last
+    first = dict(zip(reversed(residues), range(n - 1, -1, -1)))
+    alone = set(first.values()).intersection(last.values())
+    classes = {}
+    for i in sorted(set(range(n)).difference(alone)):
+        classes.setdefault(residues[i], []).append((exponents[i], coeffs[i]))
     key = ring.desc_key
-    for res, term in first.items():
-        cls = many.get(res)
-        if cls is None:
-            singles.append(term)
-        else:
-            multis.append(tuple(sorted(cls, key=lambda t: key(t[0]))))
+    multis = [tuple(sorted(cls, key=lambda t: key(t[0]))) for cls in classes.values()]
+    alone = sorted(alone)
+    singles = (
+        tuple(tuple(map(col.__getitem__, alone)) for col in columns),
+        tuple(map(coeffs.__getitem__, alone)),
+    )
     return singles, multis
 
 
 def _split_times(ring, split, terms):
     """The split of h * g, from the split of h and the terms of g."""
-    p = ring.p
-    out = _product_terms(chain(split[0], *split[1]), terms)
-    # reduce mod p and drop the coefficients that cancel
-    return _split(ring, ((x, c) for x, d in out.items() if (c := d % p)))
+    (columns, coeffs), multis = split
+    if multis:
+        exponents, more = zip(*chain(*multis))
+        columns = tuple(map(add, columns, _columns(exponents, ring.nvars)))
+        coeffs += more
+    out = _product_terms(columns, coeffs, terms)
+    exponents = tuple(out)
+    coeffs = tuple(map(mod, out.values(), repeat(ring.p)))
+    if 0 in coeffs:
+        # drop the coefficients that cancel mod p
+        exponents = tuple(compress(exponents, coeffs))
+        coeffs = tuple(filter(None, coeffs))
+    return _split(ring, exponents, coeffs)
 
 
 def _digit_split(f: Polynomial, r: int):
@@ -167,7 +192,7 @@ def _digit_split(f: Polynomial, r: int):
         table[k] = (
             _split_times(ring, table[k - 1], f.terms)
             if k
-            else ([((0,) * ring.nvars, 1)], [])
+            else ((((0,),) * ring.nvars, (1,)), [])
         )
     return table[r]
 
@@ -178,11 +203,17 @@ def _class_roots(split, u, ps):
     Multiplying by x^u moves class res of h to class (res + u) mod p, so
     h * x^u has the classes of h, relabelled: each term c * x^v of a class
     roots to c * x^((v + u) div p), the quotient of v plus the carry (res +
-    u) div p. Returns the exponents of the single-term roots and the term
-    tuples of the others, still sorted descending.
+    u) div p. Returns an iterator over the exponents of the single-term
+    roots, computed a column at a time, and the term tuples of the others,
+    still sorted descending.
     """
-    singles, multis = split
-    monos = [tuple(map(floordiv, map(add, v, u), ps)) for v, _ in singles]
+    (columns, _), multis = split
+    monos = zip(
+        *[
+            map(floordiv, map(add, col, repeat(k)) if k else col, ps)
+            for col, k in zip(columns, u)
+        ]
+    )
     polys = [
         tuple((tuple(map(floordiv, map(add, v, u), ps)), c) for v, c in cls)
         for cls in multis
@@ -199,11 +230,12 @@ def _root_level(f: Polynomial, r: int, J: Ideal) -> Ideal:
     are those of f^r, relabelled (see _class_roots). The generator f, the
     seed of every tau chain, gives the next digit power f^(r+1), split
     already or once, where the product f^r * f would build and split it
-    again: fpt of x^4+x*y^3+y^2*z^2+z^5 at p = 47 takes 2.9 s this way and
-    4.1 s by the product (one 2-vCPU x86-64 core). Any other generator of
-    several terms is multiplied in split form and its product split. When
-    every class is a single term the level is a monomial ideal and skips
-    Buchberger.
+    again: fpt of x^4+x*y^3+y^2*z^2+z^5 at p = 47 takes 0.71-0.82 s CPU this
+    way and 0.98-1.14 s by the product (three alternating in-process runs
+    each, time.process_time, 2-vCPU x86-64 container, Python 3.11). Any
+    other generator of several terms is multiplied in split form and its
+    product split. When every class is a single term the level is a monomial
+    ideal and skips Buchberger.
     """
     ring = J.ring
     ps = repeat(ring.p)

@@ -231,6 +231,13 @@ def test_chain_takes_each_level_once(monkeypatch):
     assert sum(asked) > len(levels)
 
 
+def split_terms(ring, terms):
+    # _split takes the exponents and the coefficients as two sequences
+    return frobenius._split(
+        ring, tuple(v for v, _ in terms), tuple(c for _, c in terms)
+    )
+
+
 def class_roots(split, u, p):
     monos, polys = frobenius._class_roots(split, u, repeat(p))
     return sorted(monos), sorted(polys)
@@ -266,9 +273,9 @@ def test_relabelled_split_matches_direct_split(data):
     # the roots a level takes from the split of f^r are those of the split
     # of f^r * x^s, and the scope's digit power is the split of f^r
     zero = (0, 0, 0)
-    split = frobenius._split(ring, fr.terms)
+    split = split_terms(ring, fr.terms)
     assert class_roots(split, s, p) == class_roots(
-        frobenius._split(ring, shifted.terms), zero, p
+        split_terms(ring, shifted.terms), zero, p
     )
     assert class_roots(frobenius._digit_split(f, r), zero, p) == class_roots(
         split, zero, p
@@ -295,12 +302,20 @@ def split_by_classes(ring, terms):
     ),
 )
 @example(p=3, order="grevlex", terms={(0, 1): 1, (3, 1): 2, (1, 0): 1, (6, 4): 1})
+@example(p=2, order="lex", terms={(0, 1): 1, (2, 3): 1, (1, 0): 1, (3, 2): 1})
+@example(p=5, order="grevlex", terms={(0, 1): 1, (1, 0): 2, (7, 9): 3})
+@example(p=7, order="lex", terms={})
 def test_split_matches_split_by_classes(p, order, terms):
     # singles and multis come out as the per-class dicts give them, in the
-    # order in which their classes first occur, whatever the term order
+    # order in which their classes first occur, whatever the term order;
+    # the singles are columns, one tuple per variable, also when there are
+    # none (the second example) and when every class is a single (the third)
     ring = make_ring(p, ["x", "y"], order)
     terms = [(v, c % p or 1) for v, c in terms.items()]
-    singles, multis = frobenius._split(ring, iter(terms))
+    (columns, coeffs), multis = split_terms(ring, terms)
+    assert len(columns) == 2
+    assert all(type(col) is tuple and len(col) == len(coeffs) for col in columns)
+    singles = list(zip(zip(*columns), coeffs))
     assert (singles, multis) == split_by_classes(ring, terms)
     assert sorted(singles + [t for cls in multis for t in cls]) == sorted(terms)
     for cls in multis:
@@ -320,10 +335,9 @@ def test_jumps_split_each_digit_power_once(monkeypatch):
     splits, products, shifts = Counter(), [], []
     real_split, real_level = frobenius._split, frobenius._root_level
 
-    def split(ring, terms):
-        terms = tuple(terms)
-        splits[frozenset(terms)] += 1
-        return real_split(ring, terms)
+    def split(ring, exponents, coeffs):
+        splits[frozenset(zip(exponents, coeffs))] += 1
+        return real_split(ring, exponents, coeffs)
 
     def root_level(*args):
         J = args[-1]

@@ -5,7 +5,7 @@ import time
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import charp.ring as ring_module
 from charp import (
@@ -241,14 +241,21 @@ def test_desc_key_sorts_like_reversed_sort_key(data):
     )
 
 
+def row_wise_product(a, b):
+    """The product of two term sequences, one exponent tuple per pair, with
+    the coefficients unreduced and those that cancel kept."""
+    out = {}
+    for u, c in a:
+        for v, d in b:
+            w = tuple(x + y for x, y in zip(u, v))
+            out[w] = out.get(w, 0) + c * d
+    return out
+
+
 def naive_product(p, a, b):
     """The product of two {exponents: coeff} dicts mod p, zeros dropped."""
-    out = {}
-    for u, c in a.items():
-        for v, d in b.items():
-            w = tuple(x + y for x, y in zip(u, v))
-            out[w] = (out.get(w, 0) + c * d) % p
-    return {w: c for w, c in out.items() if c}
+    out = row_wise_product(a.items(), b.items())
+    return {w: c % p for w, c in out.items() if c % p}
 
 
 @st.composite
@@ -276,6 +283,39 @@ def test_mul_matches_naive_convolution(data):
     assert_mul_is_naive(*data)
 
 
+@st.composite
+def term_sequences(draw):
+    # exponents a * scale + b: small ones collide often, and the scales
+    # above 2^40 are the sizes that frob_power makes
+    nvars = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1, 2**41, 3**30]))
+    exponent = st.builds(
+        lambda a, b: a * scale + b, st.integers(0, 2), st.integers(0, 1)
+    )
+    terms = st.dictionaries(
+        st.tuples(*[exponent] * nvars),
+        st.integers(-4, 4).filter(bool),
+        max_size=8,
+    ).map(lambda d: tuple(d.items()))
+    return nvars, draw(terms), draw(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_sequences())
+@example((1, (), (((2**41,), 3),)))
+@example((4, (((0, 1, 2**41, 0), 2),), ()))
+@example((4, (((1, 0, 0, 2), 1), ((0, 1, 2, 1), -1)), (((1, 1, 0, 0), 1), ((0, 0, 2, 1), 1))))
+@example((1, (((0,), 1), ((1,), 1)), (((1,), 1), ((0,), -1))))
+def test_product_kernel_matches_row_wise_convolution(data):
+    # either factor may be the columns; nothing is reduced or dropped
+    nvars, a, b = data
+    expected = row_wise_product(a, b)
+    for long, short in ((a, b), (b, a)):
+        columns = tuple(tuple(v[i] for v, _ in long) for i in range(nvars))
+        coeffs = tuple(c for _, c in long)
+        assert ring_module._product_terms(columns, coeffs, short) == expected
+
+
 @pytest.mark.parametrize("p,a,b,product", [
     (2, "x+y", "x+y", "x^2+y^2"),
     (3, "x+y", "x^2+2*x*y+y^2", "x^3+y^3"),
@@ -293,12 +333,19 @@ def test_mul_drops_coefficients_that_cancel(p, a, b, product):
 
 def digit_power(f, r):
     """f^r, joined back from the split the memo scope holds."""
-    singles, multis = _digit_split(f, r)
+    (columns, coeffs), multis = _digit_split(f, r)
+    # the single-term classes are held as columns only, one per variable
+    assert len(columns) == f.ring.nvars
+    assert all(type(col) is tuple and len(col) == len(coeffs) for col in columns)
     for cls in multis:
         # a class of several terms: one residue mod p, sorted descending
         assert len({tuple(x % f.ring.p for x in v) for v, _ in cls}) == 1
         assert list(cls) == sorted(cls, key=lambda t: f.ring.desc_key(t[0]))
-    return f.ring.from_dict(dict(chain(singles, *multis)))
+    terms = list(chain(zip(zip(*columns), coeffs), *multis))
+    # every coefficient reduced and nonzero, every exponent once
+    assert all(0 < c < f.ring.p for _, c in terms)
+    assert len(dict(terms)) == len(terms)
+    return f.ring.from_dict(dict(terms))
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
@@ -308,6 +355,20 @@ def test_digit_power_matches_direct_power(p):
     # ask out of order so that the memo grows more than once
     for r in [1, 0, p - 1] + list(range(p)):
         assert digit_power(f, r).terms == (f**r).terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_digit_split_joins_back_to_the_power(data):
+    # outside a memo scope each call builds f^0 .. f^r afresh; f = 0 and
+    # f^0 = 1 are drawn too
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    R = make_ring(p, ["x", "y", "z"])
+    f = R.from_dict(data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * 3), st.integers(1, p - 1), max_size=5,
+    )))
+    r = data.draw(st.integers(0, p - 1))
+    assert digit_power(f, r).terms == poly_pow(f, r).terms
 
 
 @pytest.mark.parametrize("r", [-1, 5])
