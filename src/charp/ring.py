@@ -18,9 +18,10 @@ The largest tables are the digit powers f^0, ..., f^(p-1) that
 frobenius.mixed_root keeps, split by residue class mod p and held as
 exponent columns (one tuple per variable): each f^r has at most
 C(n + r*deg f, n) terms in n variables. For x^4+x*y^3+y^2*z^2+z^5 that is
-7,315 terms (0.4 MiB) at p = 19, but 230,300 terms (7.2 MiB) at p = 47,
-built in 0.49-0.51 s (tracemalloc for the size; median of five in-process
-builds, time.process_time, 2-vCPU x86-64 container, Python 3.11).
+7,315 terms (0.3 MiB) at p = 19, but 230,300 terms (7.2 MiB) at p = 47,
+built in 0.3-0.5 s (tracemalloc for the size; medians of five in-process
+builds in each of four batches, time.process_time, 2-vCPU x86-64
+container, Python 3.11).
 
 Exponents and coefficients are arbitrary-precision ints throughout:
 Frobenius powers multiply exponents by p^e, which overflows any fixed width
@@ -382,10 +383,10 @@ def pow_base_p(f: Polynomial, m: int) -> Polynomial:
 
     The powers f^d for the digits d < p come from one ascending run of
     products by f, which costs less than squaring once the powers are dense:
-    f^46 of x^4+x*y^3+y^2*z^2+z^5 at p = 47 takes 0.76 s this way and 2.8 s
-    by squaring (median of three in-process runs, time.process_time, 2-vCPU
-    x86-64 container, Python 3.11). The Frobenius power then scales their
-    exponents with no further product.
+    f^46 of x^4+x*y^3+y^2*z^2+z^5 at p = 47 takes 0.4-0.8 s this way and
+    2.2-2.8 s by squaring (medians of three in-process runs in each of four
+    batches, time.process_time, 2-vCPU x86-64 container, Python 3.11). The
+    Frobenius power then scales their exponents with no further product.
     """
     if m < 0:
         raise ValueError("negative power")
