@@ -19,6 +19,12 @@ Moeller ("On an installation of Buchberger's algorithm", J. Symb. Comp.
 1988) drop the pairs whose S-polynomials other pairs already account for.
 Neither choice can show in a result: they decide only which raw basis is
 found, and its reduction is the unique reduced basis.
+
+Inputs and S-polynomials join the basis by one rule: reduce by the active
+basis, drop a zero remainder, add the rest monic. A joining lead is then
+divisible by no active lead, and the elements whose leads it divides leave
+the active set, so the active leads always form an antichain. The raw
+basis is therefore minimal, and reducing it needs only inter-reduction.
 """
 
 from __future__ import annotations
@@ -123,8 +129,11 @@ def _buchberger_raw(ring, gens):
 
     Pairs wait in a heap keyed (sort_key(lcm), i, j), computed once when the
     pair is made: the normal selection strategy, smallest lcm first, with
-    index ties broken deterministically. Each element h, input or new,
-    passes through the Gebauer-Moeller update as it joins:
+    index ties broken deterministically. An input joins exactly as an
+    S-polynomial does: its normal form by the active basis is dropped if
+    zero, and otherwise made monic and added. So no active lead divides a
+    joining lead, and the active leads stay an antichain. Each element h
+    added passes through the Gebauer-Moeller update:
 
       * criterion B drops a queued pair (i, j) when lead(h) divides its lcm
         and lcm(i, h), lcm(j, h) both differ from it;
@@ -149,7 +158,11 @@ def _buchberger_raw(ring, gens):
     live = {}  # pending pair (i, j), i > j -> lcm of their leads
     queue = []  # heap of (sort_key(lcm), i, j), possibly with stale entries
 
-    def add(h):
+    def add(f):
+        h = normal_form(f, [basis[m] for m in active])
+        if not h.terms:
+            return
+        h = h.monic()
         k = len(basis)
         lh = h.lead_monomial()
         basis.append(h)
@@ -177,30 +190,23 @@ def _buchberger_raw(ring, gens):
         active[:] = [m for m in active if not _divides(lh, leads[m])] + [k]
 
     for g in gens:
-        add(g.monic())
+        add(g)
     while queue:
         _, i, j = heapq.heappop(queue)
         if live.pop((i, j), None) is None:
             continue  # dropped by criterion B after it was queued
-        h = normal_form(_spoly(basis[i], basis[j]), [basis[m] for m in active])
-        if h.terms:
-            add(h.monic())
+        add(_spoly(basis[i], basis[j]))
     return [basis[m] for m in active]
 
 
 def _reduce_basis(ring, basis):
-    # drop redundant leads, then fully inter-reduce the survivors
-    basis = sorted(basis, key=lambda g: ring.sort_key(g.lead_monomial()))
-    kept = []
-    for idx, g in enumerate(basis):
-        lm = g.lead_monomial()
-        others = kept + basis[idx + 1 :]
-        if not any(_divides(h.lead_monomial(), lm) for h in others):
-            kept.append(g)
-    reduced = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        reduced.append(normal_form(g, others).monic())
+    # The leads of a raw basis form an antichain, so no element is redundant
+    # and no pass drops any: each is only reduced by the others. Its lead
+    # survives, and its tail becomes the unique standard remainder.
+    reduced = [
+        normal_form(g, basis[:idx] + basis[idx + 1 :]).monic()
+        for idx, g in enumerate(basis)
+    ]
     reduced.sort(key=lambda g: ring.desc_key(g.lead_monomial()))
     return reduced
 
@@ -213,11 +219,7 @@ def reduced_groebner_basis(ring, gens):
         return [ring.one()]
     if all(len(g.terms) == 1 for g in gens):
         return list(monomial_ideal(ring, [g.lead_monomial() for g in gens]).gens)
-    basis = _buchberger_raw(ring, gens)
-    out = _reduce_basis(ring, basis)
-    if len(out) == 1 and out[0].is_unit():
-        return [ring.one()]
-    return out
+    return _reduce_basis(ring, _buchberger_raw(ring, gens))
 
 
 class Ideal:
@@ -262,7 +264,7 @@ class Ideal:
         return hash((self.ring, self.fingerprint()))
 
     def __str__(self):
-        polys = self._canon if self._canon is not None else self.gens
+        polys = self.canon()
         if not polys:
             return "(0)"
         return "(" + ", ".join(str(g) for g in polys) + ")"

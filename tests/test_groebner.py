@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from charp import (
     Ideal,
     RingMismatch,
     buchberger,
+    fpt,
     ideal_contains,
     ideal_equal,
     ideal_product,
@@ -96,6 +98,13 @@ def test_unit_and_zero_printing():
     assert Ideal(R5, []).is_zero()
     assert unit_ideal(R5).is_unit()
     assert ideal(R5, "x+1", "x").is_unit()
+
+
+def test_str_prints_reduced_basis_whatever_is_cached():
+    J = ideal_product(ideal(R7, "x+y"), ideal(R7, "x", "x+y"))
+    before = str(J)
+    hash(J)  # computes and caches the reduced basis
+    assert str(J) == before == "(x^2 + 6*y^2, x*y + y^2)"
 
 
 def test_generator_permutations_same_basis():
@@ -239,32 +248,67 @@ def test_buchberger_matches_textbook_oracle(I):
     assert basis == textbook_reduced_basis(I.ring, I.gens)
     for f, g in itertools.combinations(basis, 2):
         assert not normal_form(_textbook_spoly(f, g), basis).terms
+    # the raw basis is minimal: no lead divides another
+    raw = groebner_module._buchberger_raw(I.ring, I.gens)
+    leads = [g.lead_monomial() for g in raw]
+    for a, b in itertools.permutations(leads, 2):
+        assert not groebner_module._divides(a, b)
+
+
+def _count_spolys(monkeypatch):
+    """A list that grows by one entry per S-polynomial formed."""
+    spolys, real_spoly = [], groebner_module._spoly
+
+    def counting_spoly(f, g):
+        spolys.append(real_spoly(f, g))
+        return spolys[-1]
+
+    monkeypatch.setattr(groebner_module, "_spoly", counting_spoly)
+    return spolys
 
 
 def test_pair_criteria_skip_redundant_pairs(monkeypatch):
     # x*y+z, x*z+y, y*z+x gain three elements; the criteria leave 8 of the
-    # 15 pairs of the six to be reduced
+    # 15 pairs of the six to be reduced. Inputs pass through normal_form
+    # too, so only the remainders of S-polynomials count as gained.
     gens = [parse_poly(R7, t) for t in ("x*y+z", "x*z+y", "y*z+x")]
-    spolys, added = [], []
-    real_spoly, real_normal_form = groebner_module._spoly, groebner_module.normal_form
-
-    def counting_spoly(f, g):
-        spolys.append((f, g))
-        return real_spoly(f, g)
+    spolys, added = _count_spolys(monkeypatch), []
+    real_normal_form = groebner_module.normal_form
 
     def counting_normal_form(f, basis):
         h = real_normal_form(f, basis)
-        if h.terms:
+        if h.terms and any(f is s for s in spolys):
             added.append(h)
         return h
 
-    monkeypatch.setattr(groebner_module, "_spoly", counting_spoly)
     monkeypatch.setattr(groebner_module, "normal_form", counting_normal_form)
     raw = groebner_module._buchberger_raw(R7, gens)
     n = len(gens) + len(added)
+    assert n == 6
     assert 0 < len(spolys) < n * (n - 1) // 2
     monkeypatch.undo()
     assert buchberger(Ideal(R7, raw)) == textbook_reduced_basis(R7, gens)
+
+
+def test_inputs_join_reduced_by_the_active_basis(monkeypatch):
+    # every term of the three binomials lies in (x^3, y^3, z^3), so each
+    # reduces to zero as it joins and no pair is ever made
+    spolys = _count_spolys(monkeypatch)
+    gens = [parse_poly(R7, t) for t in (
+        "x^3", "y^3", "z^3", "x^3*y+2*y^3*z", "x^4+y*z^3", "x*y^3*z+3*z^4")]
+    raw = groebner_module._buchberger_raw(R7, gens)
+    assert [str(g) for g in raw] == ["x^3", "y^3", "z^3"]
+    assert spolys == []
+
+
+def test_fpt_of_cubic_forms_no_spolynomial(monkeypatch):
+    # its root ideals are generated by monomials and by binomials whose
+    # terms those monomials divide: each binomial reduces to zero as it
+    # joins, so no S-polynomial is formed
+    spolys = _count_spolys(monkeypatch)
+    R = make_ring(23, ["x", "y", "z"])
+    assert fpt(parse_poly(R, "x^3+y^3+z^3+x*y*z")).value == Fraction(22, 23)
+    assert spolys == []
 
 
 @pytest.mark.parametrize("a,b,expected", [
