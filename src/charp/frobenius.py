@@ -13,16 +13,20 @@ intermediate polynomial degree at most deg(f) * (p-1) plus the largest
 generator degree. It is the workhorse behind every test-ideal chain.
 
 mixed_root memoizes whole root levels in the memo scope of its outermost
-call (see per_call_memo in ring.py): its table for f maps the digit r and
-a small int naming J to the level (f^r * J)^[1/p]. J's generator terms are
-hashed once, when mixed_root first meets that ideal object, to find its
-name; later lookups go by the object's identity. Chains and grid probes of
-one search keep taking the same levels, because test-ideal chains
-stabilize (Blickle-Mustata-Smith, "Discreteness and rationality of
-F-thresholds", Michigan Math. J. 2008): a round of the benchmark's
-diagonal jumps asks for 3,582 levels, of which 127 are new to their
-outermost call. A level is a pure function of its key, so a memo hit
-returns the same canonical ideal, byte for byte.
+call (see per_call_memo in ring.py) as an automaton over the digits: one
+table of states for f, each a canonical ideal J, interned by its generator
+terms, with an edge for each digit r taken so far, to the state of
+(f^r * J)^[1/p]. A call finds the state of its input once, by identity
+when the input is a state's own ideal and by its generator terms
+otherwise, then follows one edge per digit, and only a missing edge
+computes a level. Chains and grid probes of one search keep taking the
+same edges, because test-ideal chains stabilize (Blickle-Mustata-Smith,
+"Discreteness and rationality of F-thresholds", Michigan Math. J. 2008):
+a seed-1 round of the benchmark's diagonal jumps walks 3,582 levels and
+computes 127 of them (nondiag-groebner 1,370 and 72, scan-cli 1,011 and
+43). A level is a pure function of its digit and input, so an edge leads
+to the same canonical ideal, byte for byte, and equal levels are one
+object: ideal_equal answers them by identity.
 
 The digit powers f^0, ..., f^(p-1) live in the same scope in one form
 only: split by residue class mod p. Each is split once, and the table
@@ -258,6 +262,23 @@ def _root_level(f: Polynomial, r: int, J: Ideal) -> Ideal:
     )
 
 
+def _state(table, J):
+    """The number of the state whose ideal has J's generator terms, with J
+    as a new state's ideal if none has them yet.
+
+    The state list holds each state's ideal, which keeps its id from being
+    reused while the scope lasts, so an id in the index is always that of a
+    state's own ideal.
+    """
+    states, index = table["states"], table["index"]
+    terms = tuple(g.terms for g in J.gens)
+    s = index.get(terms)
+    if s is None:
+        s = index[terms] = index[id(J)] = len(states)
+        states.append((J, {}))
+    return s
+
+
 @per_call_memo
 def mixed_root(f: Polynomial, m: int, I: Ideal, e: int) -> Ideal:
     """(f^m * I)^[1/p^e] by digit-peeling.
@@ -266,34 +287,47 @@ def mixed_root(f: Polynomial, m: int, I: Ideal, e: int) -> Ideal:
     per root level; any exponent left after e levels multiplies the result
     directly (it is at most m / p^e, tiny for every chain use). e = 0 is
     the identity root: f^m * I, and I itself when m = 0.
+
+    The levels walk f's automaton in the memo scope: the state of I,
+    found by identity when I is a state's own ideal and by its generator
+    terms otherwise, then one edge per digit r, lowest first. An edge holds
+    the number of the state it leads to, not the state, so the fixed points
+    of a chain leave no reference cycle.
     """
     if f.ring != I.ring:
         raise RingMismatch("polynomial and ideal from different rings")
     if m < 0:
         raise ValueError("negative exponent")
     _check_root_guard(f.ring.p, e)
+    if not e:
+        return scale_ideal(pow_base_p(f, m), I) if m else I
     p = f.ring.p
-    levels = call_memo("mixed_root", f)  # (r, name of J) -> level
-    seen = call_memo("level_ideal", f)  # id(J) -> (J, name of J)
-    J = I
+    table = call_memo("mixed_root", f)
+    if not table:
+        # states: (ideal, {digit: number of the next state}); index: id or
+        # generator terms of a state's ideal -> its number. A dict of edges,
+        # not a list of p, stays small for p up to the root guard's 2^40
+        table.update(states=[], index={})
+    states = table["states"]
+    s = table["index"].get(id(I))
+    if s is None:
+        s = _state(table, I)
     for _ in range(e):
         m, r = divmod(m, p)
-        named = seen.get(id(J))
-        if named is None:
-            # holding J keeps its id from being reused while the scope lasts
-            names = call_memo("level_name", f)
-            named = seen[id(J)] = (
-                J,
-                names.setdefault(tuple(g.terms for g in J.gens), len(names)),
-            )
-        key = (r, named[1])
-        root = levels.get(key)
-        if root is None:
+        J, edges = states[s]
+        t = edges.get(r)
+        if t is None:
             # each level is canonical: per-generator rooting multiplies
             # generator counts, and without minimalization the growth
             # compounds exponentially across levels
-            root = levels[key] = _root_level(f, r, J)
-        J = root
+            root = _root_level(f, r, J)
+            t = edges[r] = _state(table, root)
+            old = states[t][0]
+            if old._canon is None:
+                # an input with the root's terms: they are its reduced basis
+                old._canon = root._canon
+        s = t
+    J = states[s][0]
     if m:
         J = scale_ideal(pow_base_p(f, m), J)
     return J

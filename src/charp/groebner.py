@@ -85,13 +85,17 @@ def _monomial_minimalize(ring, exponents):
     for e in uniq:
         low = min(e)
         column = buckets[e.index(low)]
-        if any(
-            _divides(k, e) for v in range(low + 1) for k in column.get(v, ())
-        ):
-            continue
-        kept.append(e)
-        for bucket, v in zip(buckets, e):
-            bucket.setdefault(v, []).append(e)
+        for v in range(low + 1):
+            for k in column.get(v, ()):
+                if all(map(le, k, e)):
+                    break
+            else:
+                continue
+            break  # a kept exponent divides e
+        else:
+            kept.append(e)
+            for bucket, v in zip(buckets, e):
+                bucket.setdefault(v, []).append(e)
     kept.sort(key=ring.desc_key)
     return kept
 
@@ -301,6 +305,8 @@ def ideal_contains(I: Ideal, f: Polynomial) -> bool:
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
+    if I is J:
+        return True
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
     return I.canon() == J.canon()

@@ -152,7 +152,7 @@ class RingContext:
         return Polynomial(self, tuple(terms))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RingContext)
             and self.p == other.p
             and self.vars == other.vars

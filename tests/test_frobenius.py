@@ -110,6 +110,7 @@ def test_depth_zero_is_the_identity_root():
     I = ideal(R5, "x*y", "y^2+1")
     for m in (0, 1, 7):
         assert mixed_root(f, m, I, 0) == scale_ideal(pow_base_p(f, m), I)
+    assert mixed_root(f, 0, I, 0) is I
     assert frob_root(I, 0) == I
     assert bracket_power(I, 0) == I
     for root in (lambda: mixed_root(f, 1, I, -1), lambda: frob_root(I, -1),
@@ -206,6 +207,21 @@ def test_memoized_levels_match_levels_one_by_one(p, seed):
         got = roots_in_one_call(f, cases)
         for (m, I, e), root in zip(cases, got):
             assert root.gens == levels_one_by_one(f, m, I, e).gens
+
+
+@pytest.mark.parametrize("p,seed", [(2, 40), (3, 41), (5, 42)])
+def test_equal_roots_in_one_call_are_one_object(p, seed):
+    # the levels are interned in the scope: roots with equal generator
+    # terms are one object, whatever input and digits led to them
+    rng = random.Random(seed)
+    ring = make_ring(p, ["x", "y", "z"])
+    f = random_poly(rng, ring)
+    cases = [(rng.randrange(0, p**e), I, e)
+             for I in root_level_inputs(rng, ring) for e in (1, 2)]
+    roots = roots_in_one_call(f, cases + cases)
+    for a, I in enumerate(roots):
+        for J in roots[a + 1:]:
+            assert (I is J) == (I.gens == J.gens)
 
 
 def test_chain_takes_each_level_once(monkeypatch):

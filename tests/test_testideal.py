@@ -27,6 +27,7 @@ from charp import (
     cartier_chain,
     fpt,
     frob_root,
+    hsl_number,
     ideal_equal,
     ideal_product,
     ideal_subset,
@@ -398,15 +399,23 @@ def test_jumps_monomial_none_below_one():
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_jumps_leaves_no_garbage_cycles(p):
-    # the grid cache and the private copy of f go when the call returns,
-    # freed by reference counting, not left to the cycle collector
+    # the grid cache and the memo scope go when the call returns, freed by
+    # reference counting, not left to the cycle collector; the level
+    # automaton's edges are state numbers, so the fixed points that every
+    # chain ends in (hsl's most of all) make no cycle either
     R = make_ring(p, ["x", "y", "z"])
     f = parse_poly(R, "x^5+y^5+z^5")
+    calls = {
+        "jumps": lambda: jumps_in_unit_interval(f, 2),
+        "fpt": lambda: fpt(f),
+        "hsl": lambda: hsl_number(f),
+    }
     gc.collect()
     gc.disable()
     try:
-        jumps_in_unit_interval(f, 2)
-        assert gc.collect() == 0
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
     finally:
         gc.enable()
 
@@ -543,6 +552,62 @@ def test_equal_polynomials_share_root_levels(monkeypatch):
 
     assert both() == [Fraction(4, 7)] * 2
     assert counts == [10, 0]
+
+
+# _root_level calls of each search on the quintic at p = 7, as under the
+# earlier level memo keyed by (r, generator terms of J)
+QUINTIC_LEVELS = {"fpt": 10, "hsl": 3, "jumps": 27}
+
+
+def test_searches_compute_each_level_once(monkeypatch):
+    # the level automaton computes the same levels as a memo keyed by the
+    # digit and the generator terms of J: none twice, none more
+    computed = []
+    real_root_level = frobenius_module._root_level
+
+    def root_level(h, r, J):
+        computed.append((r, tuple(g.terms for g in J.gens)))
+        return real_root_level(h, r, J)
+
+    monkeypatch.setattr(frobenius_module, "_root_level", root_level)
+    calls = {
+        "fpt": lambda: fpt(QUINTIC),
+        "hsl": lambda: hsl_number(QUINTIC),
+        "jumps": lambda: jumps_in_unit_interval(QUINTIC, 3),
+    }
+    for name, call in calls.items():
+        computed.clear()
+        call()
+        assert len(computed) == QUINTIC_LEVELS[name], name
+        assert len(set(computed)) == len(computed), name
+
+
+@per_call_memo
+def test_equal_test_ideals_are_one_object():
+    # levels are interned in the scope, so equal roots are one object and
+    # ideal_equal answers them by identity; under the earlier level memo,
+    # 393 of these pairs were equal but distinct, m = 0 and m = 4 first
+    roots = [tau_ppower(QUINTIC, m, 2) for m in range(49)]
+    for a, I in enumerate(roots):
+        for J in roots[a + 1 :]:
+            assert (I is J) == (I.canon() == J.canon())
+    assert roots[0] is roots[4]
+
+
+@per_call_memo
+def test_scope_holds_one_ideal_per_state():
+    # every tau_ppower passes a fresh unit ideal; only the first one met
+    # becomes a state, and a state's ideal is indexed by its id and terms
+    for m in range(49):
+        tau_ppower(QUINTIC, m, 2)
+    table = call_memo("mixed_root", QUINTIC)
+    states, index = table["states"], table["index"]
+    ideals = [J for J, _ in states]
+    assert sum(J.gens == (R7.one(),) for J in ideals) == 1
+    assert len(index) == 2 * len(states)
+    assert all(index[id(J)] == s for s, J in enumerate(ideals))
+    for s, J in enumerate(ideals):
+        assert index[tuple(g.terms for g in J.gens)] == s
 
 
 def cubic_hasse_invariant(p):
