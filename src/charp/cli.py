@@ -243,8 +243,11 @@ DEPTH = Flag(("--depth",), "depth", "p-power search depth of fpt", default=4,
              minimum=1, key="depth")
 S_MAX = Flag(("--s-max",), "s_max", "largest cyclic period tried", default=4,
              minimum=1, key="sMax")
-RESOLUTION_E = Flag(("--resolution-e",), "resolution_e", "grid resolution exponent",
-                    default=3, minimum=1, key="resolutionE")
+# jumps reads every jump off the digit automaton, so its answer depends on
+# neither of these: they stay accepted, and stay out of its cache key
+RESOLUTION_E = Flag(("--resolution-e",), "resolution_e",
+                    "ignored: jumps needs no search depth", default=3, minimum=1)
+JUMPS_S_MAX = S_MAX._replace(help="ignored: jumps needs no period bound", key=None)
 TOP = Flag(("-m",), "m", "top index", required=True, minimum=0)
 BOTTOM = Flag(("-n",), "n", "bottom index", required=True, minimum=0)
 PRIMES = Flag(("--primes",), "primes", "inclusive range, e.g. 2..19",
@@ -290,8 +293,7 @@ def _fpt_row(payload):
 
 
 def _jumps_row(certs):
-    certified = all(c["status"] == "certified-jump" for c in certs)
-    return ";".join(c["value"] for c in certs), "certified" if certified else "candidate"
+    return ";".join(c["value"] for c in certs), "certified"
 
 
 def _hsl_payload(report):
@@ -334,7 +336,7 @@ COMMANDS = {
         lambda payload: (str(payload["hsl"]), "ok"),
     ),
     "jumps": Command(
-        "F-jumping numbers of f in (0, 1]", (*INPUT, RESOLUTION_E, S_MAX, *OUTPUT),
+        "F-jumping numbers of f in (0, 1]", (*INPUT, RESOLUTION_E, JUMPS_S_MAX, *OUTPUT),
         lambda ring, f, job: [
             certificate_payload(c)
             for c in jumps_in_unit_interval(f, job.resolution_e, s_max=job.s_max)
@@ -349,13 +351,17 @@ COMMANDS = {
     ),
 }
 SCAN_REPORTS = tuple(name for name, command in COMMANDS.items() if command.scan)
-# scan takes every flag that parametrizes one of its reports
-_REPORT_FLAGS = dict.fromkeys(
-    fl for name in SCAN_REPORTS for fl in COMMANDS[name].flags if fl.key
-)
+# scan takes every option of its reports, the first report's where two
+# share one (fpt's --s-max sets the job's s_max, which jumps ignores)
+_REPORT_FLAGS = {}
+for _name in SCAN_REPORTS:
+    for _flag in COMMANDS[_name].flags:
+        if _flag not in INPUT + OUTPUT:
+            _REPORT_FLAGS.setdefault(_flag.dest, _flag)
 COMMANDS["scan"] = Command(
     "sweep invariants of f over a prime range",
-    (PRIMES, VARS, POLY, REPORTS, *_REPORT_FLAGS, SCAN_FORMAT, CACHE_DIR, TIMEOUT, THREADS),
+    (PRIMES, VARS, POLY, REPORTS, *_REPORT_FLAGS.values(), SCAN_FORMAT, CACHE_DIR,
+     TIMEOUT, THREADS),
 )
 
 

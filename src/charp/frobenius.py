@@ -19,14 +19,15 @@ terms, with an edge for each digit r taken so far, to the state of
 (f^r * J)^[1/p]. A call finds the state of its input once, by identity
 when the input is a state's own ideal and by its generator terms
 otherwise, then follows one edge per digit, and only a missing edge
-computes a level. Chains and grid probes of one search keep taking the
+computes a level. The chains and probes of one search keep taking the
 same edges, because test-ideal chains stabilize (Blickle-Mustata-Smith,
 "Discreteness and rationality of F-thresholds", Michigan Math. J. 2008):
-a seed-1 round of the benchmark's diagonal jumps walks 3,582 levels and
-computes 127 of them (nondiag-groebner 1,370 and 72, scan-cli 1,011 and
-43). A level is a pure function of its digit and input, so an edge leads
-to the same canonical ideal, byte for byte, and equal levels are one
-object: ideal_equal answers them by identity.
+a seed-1 round of the benchmark's scan-cli (fpt and hsl) walks 1,011
+levels and computes 43 of them, and one of nondiag-groebner 398 and 80.
+The jumping numbers take every edge of the automaton once (diag-jumps:
+136 levels, each computed). A level is a pure function of its digit and
+input, so an edge leads to the same canonical ideal, byte for byte, and
+equal levels are one object: ideal_equal answers them by identity.
 
 The digit powers f^0, ..., f^(p-1) live in the same scope in one form
 only: split by residue class mod p. Each is split once, and the table

@@ -294,6 +294,11 @@ def buchberger(I: Ideal):
 
 
 def ideal_contains(I: Ideal, f: Polynomial) -> bool:
+    """True iff f lies in I.
+
+    A monomial ideal is spanned by the monomials it contains, so it holds f
+    iff one of its generators divides each term of f: no division needed.
+    """
     if f.ring != I.ring:
         raise RingMismatch("polynomial from a different ring")
     if not f.terms:
@@ -301,6 +306,9 @@ def ideal_contains(I: Ideal, f: Polynomial) -> bool:
     canon = I.canon()
     if not canon:
         return False
+    if all(len(g.terms) == 1 for g in canon):
+        leads = [g.terms[0][0] for g in canon]
+        return all(any(_divides(u, v) for u in leads) for v, _ in f.terms)
     return not normal_form(f, canon).terms
 
 

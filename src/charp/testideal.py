@@ -19,18 +19,25 @@ divides by p^a. Skoda's identity (tau(f^lambda) = f * tau(f^(lambda-1))
 for lambda >= 1) is folded into that root: the part of k beyond p^a
 multiplies the result.
 
-Both searches, fpt and the jumping numbers, certify with one rule. Walking
-candidates lambda = r/(p^a(p^s - 1)) upward from a known ideal "below", tau
-drops at lambda when tau(f^lambda) differs from below; the drop is a
-certified jump when the left limit of tau at lambda still equals below, and
-only a candidate when it does not (then tau dropped somewhere in between,
-at an exponent outside the candidate families).
+The threshold search certifies with one rule. Walking candidates lambda =
+r/(p^a(p^s - 1)) upward from a known ideal "below", tau drops at lambda
+when tau(f^lambda) differs from below; the drop is a certified jump when
+the left limit of tau at lambda still equals below, and only a candidate
+when it does not (then tau dropped somewhere in between, at an exponent
+outside the candidate families).
 
-Jumping-number enumeration exploits monotonicity twice: equal ideals at two
-grid exponents certify the absence of jumps over the whole span (enabling
-divide-and-conquer instead of a full p^e grid walk), and each localized
-drop cell is then walked with the rule above from the grid ideal at its
-left end until tau reaches the grid ideal at its right end.
+The jumping numbers in (0, 1) need no search. For a digit 0 <= d < p
+write Phi_d(J) = (f^d * J)^[1/p]. Then tau(f^((d + mu)/p)) =
+Phi_d(tau(f^mu)) for mu in [0, 1) (Blickle-Mustata-Smith, "Discreteness
+and rationality of F-thresholds", Michigan Math. J. 2008), so the states
+reachable from (1) under Phi_0, ..., Phi_(p-1) are exactly the distinct
+tau(f^lambda) with lambda in [0, 1): a chain (1) = Q_0 > Q_1 > ... > Q_k,
+one state per jump and one for (1). Building that digit automaton takes
+p root levels per state, all at depth 1. The least exponent a_S at which
+tau is S solves a_S = min over edges T -d-> S of (d + a_T)/p, with
+a_(1) = 0: the least digit word along reversed edges, eventually
+periodic, so a_S is rational. Sorted by a_S the states are the chain, and
+a_(Q_j) is the j-th jump, with tau Q_j there and left limit Q_(j-1).
 """
 
 from __future__ import annotations
@@ -41,13 +48,14 @@ from functools import reduce
 from math import ceil, comb, lcm
 
 from .errors import (
+    CharpError,
     OutOfInterval,
     ResourceLimit,
     UnitPolynomial,
     ZeroPolynomial,
 )
-from .ring import Polynomial, per_call_memo, pow_base_p
-from .groebner import Ideal, ideal_equal, scale_ideal, unit_ideal
+from .ring import Polynomial, call_memo, per_call_memo, pow_base_p
+from .groebner import Ideal, ideal_equal, ideal_subset, scale_ideal, unit_ideal
 from .frobenius import _check_root_guard, _max_root_depth, mixed_root
 from .hsl import _walk, hsl_upper_bound
 
@@ -163,9 +171,16 @@ def cartier_chain(f: Polynomial, r: int, s: int, seed: Ideal) -> Ideal:
 
 
 def tau_ppower(f: Polynomial, m: int, e: int) -> Ideal:
-    """tau(f^(m/p^e)) = (f^m)^[1/p^e], exactly."""
+    """tau(f^(m/p^e)) = (f^m)^[1/p^e], exactly.
+
+    Every call in one memo scope roots from the same unit ideal, so after
+    the first, mixed_root finds its state by identity.
+    """
     _require_nonzero(f)
-    return mixed_root(f, m, unit_ideal(f.ring), e)
+    memo = call_memo("unit_ideal", f.ring)
+    if not memo:
+        memo[None] = unit_ideal(f.ring)
+    return mixed_root(f, m, memo[None], e)
 
 
 def _tau_side(f: Polynomial, lam, left: bool) -> Ideal:
@@ -332,81 +347,120 @@ def fpt(f: Polynomial, e_max: int = 4, s_max: int = 4):
     return FptInterval(lo=lo, hi=hi)
 
 
+def _digit_automaton(f: Polynomial):
+    """The states reachable from (1) under Phi_d(J) = (f^d * J)^[1/p], and
+    edges[s][d], the number of the state Phi_d(states[s]).
+
+    A state is the ideal object that mixed_root interns in the memo scope,
+    so the states are keyed by identity. The first row is tau(f^(d/p)) =
+    Phi_d((1)), and its digit 0 gives the scope's own (1): Phi_0((1)) = (1).
+    Every state is a tau(f^lambda) with lambda in [0, 1), so the states form
+    a chain of ideals generated in degree at most deg f, and there are at
+    most jump_count_bound(n, deg f, 1) + 1 of them; more is an internal
+    error.
+    """
+    ring = f.ring
+    bound = jump_count_bound(len(ring.vars), f.total_degree(), 1) + 1
+    row = [tau_ppower(f, d, 1) for d in range(ring.p)]
+    states, number, edges = [row[0]], {id(row[0]): 0}, []
+    while len(edges) < len(states):
+        if edges:
+            J = states[len(edges)]
+            row = [mixed_root(f, d, J, 1) for d in range(ring.p)]
+        targets = []
+        for K in row:
+            t = number.get(id(K))
+            if t is None:
+                t = number[id(K)] = len(states)
+                states.append(K)
+                if len(states) > bound:
+                    raise CharpError(
+                        f"digit automaton of {f} exceeds its bound of {bound} states"
+                    )
+            targets.append(t)
+        edges.append(targets)
+    return states, edges
+
+
+def _least_exponents(edges, p):
+    """a[s] = min over edges t -d-> s of (d + a[t])/p, with a[0] = 0, exactly.
+
+    Policy iteration: each state follows one incoming edge, its policy,
+    and the values of a policy follow its edges back to a cycle of digits
+    d_1 .. d_L, whose entry state has the value (d_1 p^(L-1) + ... +
+    d_L)/(p^L - 1). A state whose value a strictly smaller edge offers
+    switches to that edge, and the values strictly fall, until no edge
+    offers less: then they solve the system, whose solution is unique (the
+    map is a contraction by 1/p). The first policy is the edge through
+    which each state was found, and digit 0 from (1) to itself for (1).
+    """
+    incoming = [[] for _ in edges]
+    policy = [None] * len(edges)
+    for t, row in enumerate(edges):
+        for d, s in enumerate(row):
+            incoming[s].append((d, t))
+            if policy[s] is None:
+                policy[s] = (d, t)
+    assert policy[0] == (0, 0)
+    while True:
+        value = [None] * len(edges)
+        for s in range(len(edges)):
+            path, on_path = [], {}
+            while value[s] is None and s not in on_path:
+                on_path[s] = len(path)
+                path.append(s)
+                s = policy[s][1]
+            if value[s] is None:  # path closes a cycle at s
+                cycle = path[on_path[s]:]
+                digits = reduce(lambda n, c: n * p + policy[c][0], cycle, 0)
+                value[s] = Fraction(digits, p ** len(cycle) - 1)
+            for c in reversed(path):
+                if value[c] is None:
+                    d, t = policy[c]
+                    value[c] = (d + value[t]) / p
+        changed = False
+        for s, offers in enumerate(incoming):
+            best = value[s]
+            for d, t in offers:
+                if (d + value[t]) / p < best:
+                    best, policy[s], changed = (d + value[t]) / p, (d, t), True
+        if not changed:
+            return value
+
+
 @per_call_memo
 def jumps_in_unit_interval(f: Polynomial, e_res: int, s_max: int = 4):
     """Certified F-jumping numbers of f in the open interval (0, 1).
 
-    Walks the monotone grid m -> (f^m)^[1/p^e_res] by divide-and-conquer
-    (equal endpoint ideals certify a jump-free span), refines each dropping
-    cell to depth e_res + 2 + s_max (one less where that power of p is
-    beyond the root guard), and walks each deep cell's candidates with the
-    drop rule, from the grid ideal at its left end until tau reaches the
-    one at its right end. Any drop not explained by a certified candidate
-    is emitted with status "candidate" rather than suppressed.
+    Reads them off the digit automaton of f (see the module docstring):
+    sorted by least exponent, the states are the chain Q_0 > ... > Q_k,
+    and the j-th jump a_(Q_j) has tau Q_j and left limit Q_(j-1). Each
+    inclusion of the chain is checked, one per jump; a failed one, or two
+    states with one least exponent, is an internal error. e_res and s_max
+    are ignored: the automaton needs no search depth or period bound.
     """
     _require_nonzero(f)
     _require_nonunit(f)
-    p = f.ring.p
-    a_max = e_res + 2
-    # refinement depth for candidate localization; its guard covers p^e_res
-    deep = _capped_depth(p, a_max + s_max)
-
-    cache = {}
-
-    def grid(m, depth):
-        # tau(f^(m*p/p^(e+1))) = tau(f^(m/p^e)): key on the reduced exponent
-        # so that sub-cell endpoints reuse the coarse grid; the floor of
-        # depth 1 keeps the exponents 0 and 1 roots like every other probe
-        while depth > 1 and m % p == 0:
-            m, depth = m // p, depth - 1
-        key = (m, depth)
-        if key not in cache:
-            cache[key] = tau_ppower(f, m, depth)
-        return cache[key]
-
-    def drop_cells(m_lo, m_hi, depth):
-        # cells (m-1, m] where the grid ideal strictly drops, ascending; a
-        # loop, not a closure that calls itself, so no reference cycle
-        # keeps the grid cache alive after the call returns
-        spans = [(m_lo, m_hi)]
-        while spans:
-            lo, hi = spans.pop()
-            if ideal_equal(grid(lo, depth), grid(hi, depth)):
-                continue
-            if hi - lo == 1:
-                yield hi
-                continue
-            mid = (lo + hi) // 2
-            spans += [(mid, hi), (lo, mid)]
-
+    states, edges = _digit_automaton(f)
+    least = _least_exponents(edges, f.ring.p)
+    order = sorted(range(len(states)), key=least.__getitem__)
     results = []
-    scale = p ** (deep - e_res)
-    for m in drop_cells(0, p**e_res, e_res):
-        for m2 in drop_cells((m - 1) * scale, m * scale, deep):
-            below, end = grid(m2 - 1, deep), grid(m2, deep)
-            lo, hi = Fraction(m2 - 1, p**deep), Fraction(m2, p**deep)
-            lams = _candidates_in_interval(p, lo, hi, a_max, s_max)
-            if hi == 1:
-                # the jump at exactly 1 is outside the open interval: the
-                # cell ends at the left limit at 1 instead
-                lams = [lam for lam in lams if lam < 1]
-                end = tau_left(f, 1)
-            elif hi not in lams:
-                lams.append(hi)  # deep pure p-power endpoint
-            for lam in lams:
-                if ideal_equal(below, end):
-                    break  # cell fully explained
-                drop = _drop_at(f, lam, below)
-                if drop:
-                    results.append(drop)
-                    below = drop.tau_at
-            if not ideal_equal(below, end):
-                # a drop that no candidate explains
-                results.append(
-                    JumpCertificate(
-                        value=hi, tau_at=end, tau_left=below, status="candidate"
-                    )
-                )
+    for above, below in zip(order, order[1:]):
+        if not least[above] < least[below] or not ideal_subset(
+            states[below], states[above]
+        ):
+            raise CharpError(
+                f"states {above} and {below} of the digit automaton of {f} "
+                "are not a chain"
+            )
+        results.append(
+            JumpCertificate(
+                value=least[below],
+                tau_at=states[below],
+                tau_left=states[above],
+                status="certified-jump",
+            )
+        )
     return results
 
 

@@ -166,11 +166,26 @@ def test_resource_limit_exit_2():
 @pytest.mark.parametrize("depth", [
     ["root", "-m", "1", "-e", "30000000"],
     ["fpt", "--depth", "30000000"],
-    ["jumps", "--resolution-e", "30000000"],
 ])
 def test_huge_depth_exits_2_without_forming_the_power(depth):
     r = cli(depth[0], "-p", "3", "--vars", "x", "-f", "x", *depth[1:], timeout=10)
     assert r.returncode == 2
+
+
+def test_jumps_ignores_resolution_e():
+    # jumps roots at depth 1 only, so --resolution-e sets no root depth: a
+    # huge one answers at once, as the default does
+    r = cli("jumps", "-p", "3", "--vars", "x", "-f", "x^2",
+            "--resolution-e", "30000000", "--s-max", "30000000", timeout=10)
+    assert (r.returncode, r.stdout) == (0, "1/2 certified-jump\n")
+
+
+def test_jumps_cusp_at_53_certified():
+    # the grid search exited 2 here, its refinement depth beyond the 2^40
+    # root guard; the digit automaton roots at depth 1 and certifies the
+    # threshold
+    r = cli("jumps", "-p", "53", "--vars", "x,y", "-f", "x^2+y^3", timeout=60)
+    assert (r.returncode, r.stdout) == (0, "44/53 certified-jump\n")
 
 
 def test_root_depth_zero_is_rejected_by_its_flag():
@@ -286,8 +301,9 @@ def test_scan_records_timeout():
 
 
 def test_scan_jumps_rows():
-    # certified when every jump is, else candidate (x^17 at p = 2 ends in
-    # an end-of-cell candidate at 1)
+    # certified when every jump is; x^17 at p = 2, where the grid search
+    # with --resolution-e 1 --s-max 1 ended in a candidate at 1, now reads
+    # all of 1/17, ..., 16/17 off the digit automaton
     code, out, _ = run_job("scan", "--primes", "2..3", *QUINTIC_ARGS, "--report", "jumps")
     assert code == 0
     assert [line.split(",")[:4] for line in out.splitlines()[1:]] == [
@@ -298,7 +314,7 @@ def test_scan_jumps_rows():
                            "--report", "jumps", "--resolution-e", "1", "--s-max", "1")
     assert code == 0
     value, status = out.splitlines()[1].split(",")[2:4]
-    assert value.endswith(";15/16;1") and status == "candidate"
+    assert value == ";".join(f"{r}/17" for r in range(1, 17)) and status == "certified"
 
 
 def test_scan_fpt_interval_row():
@@ -531,6 +547,31 @@ def test_cache_audit_detects_poison(tmp_path, monkeypatch):
     out, err = io.StringIO(), io.StringIO()
     assert run(job, out, err) == 3
     assert "audit" in err.getvalue()
+
+
+def test_jumps_cache_key_holds_only_what_the_answer_depends_on(tmp_path, monkeypatch):
+    # the grid search keyed its entries by --resolution-e and --s-max as
+    # well, and they held candidate rows, as this one for x^17 at p = 2
+    # does; jumps ignores both flags now, so such an entry is never served
+    # or audited (an audit would raise on it), and the answer is recomputed
+    args = ["jumps", "-p", "2", "--vars", "x", "-f", "x^17",
+            "--resolution-e", "1", "--s-max", "1", "--cache-dir", str(tmp_path)]
+    path = cache_path(str(tmp_path), 2, ("x",), "x^17")
+    grid_key = cache_key("jumps", {"resolutionE": 1, "sMax": 1})
+    grid_rows = [
+        {"value": "15/16", "status": "candidate", "tauAt": ["x^15"], "tauLeft": ["x^15"]},
+        {"value": "1", "status": "candidate", "tauAt": ["x^16"], "tauLeft": ["x^15"]},
+    ]
+    Path(path).write_text(json.dumps({"version": "1", "entries": {grid_key: grid_rows}}))
+    monkeypatch.setattr(cli_mod, "AUDIT_RATE", 1)  # audit every hit
+    expected = "".join(f"{r}/17 certified-jump\n" for r in range(1, 17))
+    for _ in range(2):  # a cold run, then a hit on the entry it stored
+        out, err = io.StringIO(), io.StringIO()
+        assert run(build_parser().parse_args(args), out, err) == 0, err.getvalue()
+        assert out.getvalue() == expected
+    entries = json.loads(Path(path).read_text())["entries"]
+    assert set(entries) == {grid_key, cache_key("jumps", {})}
+    assert entries[grid_key] == grid_rows
 
 
 def test_env_cache_dir(tmp_path, monkeypatch):

@@ -12,7 +12,9 @@ p - 1, p(p - 1) or p^2 - 1, recorded while tau and its left limit still
 went through separate routines. `search_calls.json` holds, for `fpt` and
 `jumps_in_unit_interval` on two quintic-degree forms, the ordered tau and
 tau_left calls each search makes, recorded before both searches shared one
-drop rule; the same calls mean the same work. `scan_rows.json` holds the
+drop rule; the same calls mean the same work. Its `jumps` entries were
+rerecorded when the jumps came to be read off the digit automaton, which
+calls neither: their answers are unchanged. `scan_rows.json` holds the
 rows, without `wall_ms`, of two `charp scan` runs in CSV and JSON, each a
 cold and a warm pass on one fresh cache directory with every warm hit
 audited, recorded while each report at a prime still parsed f and built its

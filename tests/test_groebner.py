@@ -241,6 +241,25 @@ def small_ideals(draw):
     return Ideal(ring, [ring.from_dict(dict(terms)) for terms in gens])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_contains_matches_normal_form(data):
+    # a monomial ideal decides membership by divisibility of each term,
+    # any other by division; both agree with the remainder by the reduced
+    # basis, for members built from the generators and for random f
+    I = data.draw(st.one_of(monomial_ideals(), small_ideals()))
+    ring, nvars = I.ring, len(I.ring.vars)
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * nvars), st.integers(1, ring.p - 1))
+    if data.draw(st.booleans()):
+        f = ring.from_dict({})
+        for g in I.gens:
+            f = f + g.mul_term(*data.draw(term))
+        assert not normal_form(f, buchberger(I)).terms
+    else:
+        f = ring.from_dict(dict(data.draw(st.lists(term, max_size=4))))
+    assert ideal_contains(I, f) == (not normal_form(f, buchberger(I)).terms)
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_ideals())
 def test_buchberger_matches_textbook_oracle(I):

@@ -380,15 +380,17 @@ def test_jumps_quintic_small_primes(p, e_res, expected):
     assert values == sorted(values)
 
 
-def test_jumps_end_of_cell_candidate():
-    # x^17 over F_2 at e_res 1, s_max 1: the last deep cell (15/16, 1] holds
-    # the jump 16/17, which no candidate r/2^a (a <= 3) reaches, so the
-    # cell ends in a candidate at 1 with the left limit of tau there
+def test_jumps_x17_at_2_all_certified():
+    # the jumps of x^17 are r/17; the grid and candidate search with e_res
+    # 1 and s_max 1 reached none above 15/16 and ended in a candidate at 1,
+    # and the digit automaton reads every one of them, 16/17 included
     R = make_ring(2, ["x"])
     f = parse_poly(R, "x^17")
-    last = jumps_in_unit_interval(f, 1, s_max=1)[-1]
-    assert (last.value, last.status) == (1, "candidate")
-    assert ideal_equal(last.tau_at, tau_left(f, 1))
+    certs = jumps_in_unit_interval(f, 1, s_max=1)
+    assert [c.value for c in certs] == [Fraction(r, 17) for r in range(1, 17)]
+    assert all(c.status == "certified-jump" for c in certs)
+    last = certs[-1]
+    assert ideal_equal(last.tau_at, ideal(R, "x^16"))
     assert ideal_equal(last.tau_left, ideal(R, "x^15"))
 
 
@@ -397,10 +399,99 @@ def test_jumps_monomial_none_below_one():
     assert jumps_in_unit_interval(parse_poly(R, "x"), 2) == []
 
 
+def hsl_off_jumps(values, p):
+    """The least l >= 1 with no jump in (1 - p^-l, 1 - p^-(l+1)]: there
+    hsl's chain tau(f^(1 - p^-l)) first repeats."""
+    l = 1
+    while any(1 - Fraction(1, p**l) < v <= 1 - Fraction(1, p ** (l + 1)) for v in values):
+        l += 1
+    return l
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_automaton_jumps_agree_with_the_other_routes(data):
+    # every jump read off the digit automaton is one that is_fjumping
+    # certifies, with the same two ideals; fpt, found by its own search,
+    # is the first jump (1 when there is none below 1); and hsl's chain
+    # moves exactly where the jumps say
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    nvars = data.draw(st.integers(1, 3))
+    ring = make_ring(p, ["x", "y", "z"][:nvars])
+    f = ring.from_dict(data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * nvars), st.integers(1, p - 1),
+        min_size=1, max_size=3,
+    )))
+    if f.total_degree() == 0:
+        return
+    certs = jumps_in_unit_interval(f, 3)
+    values = [c.value for c in certs]
+    assert values == sorted(set(values)) and all(0 < v < 1 for v in values)
+    for c in certs:
+        assert c.status == "certified-jump"
+        check = is_fjumping(f, c.value)
+        assert check.status == "certified-jump", c.value
+        assert ideal_equal(check.tau_at, c.tau_at) and ideal_equal(check.tau_left, c.tau_left)
+    threshold = fpt(f)
+    if isinstance(threshold, FptInterval):
+        assert values and threshold.lo < values[0] <= threshold.hi
+    else:
+        assert threshold.value == (values[0] if values else 1)
+    assert hsl_number(f).hsl == hsl_off_jumps(values, p)
+
+
+# x^7+y^9 at p = 19: period-6 jumps in 63rds and jumps with denominators
+# 19^a among them; searches over r/(p^a(p^s - 1)) with s <= 4 missed six
+X7Y9_JUMPS = (
+    "16/63 2504/6859 25/63 9/19 1257701/2476099 34/63 11/19 4246/6859 "
+    "84812/130321 43/63 13/19 5008/6859 275/361 15/19 52/63 5770/6859 "
+    "315/361 17/19 338/361 18/19 61/63 355/361"
+).split()
+
+
+def test_jumps_x7_y9_at_19():
+    f = parse_poly(make_ring(19, ["x", "y"]), "x^7+y^9")
+    certs = jumps_in_unit_interval(f, 3)
+    assert [str(c.value) for c in certs] == X7Y9_JUMPS
+    for c in certs:
+        assert c.status == "certified-jump"
+        assert is_fjumping(f, c.value).status == "certified-jump", c.value
+    assert certs[0].tau_left.is_unit()
+
+
+def test_jumps_check_each_chain_inclusion(monkeypatch):
+    # one inclusion per jump; a state that is not inside the one before
+    # it is an internal error, not an answer
+    checks = []
+    real_subset = testideal_module.ideal_subset
+
+    def subset(I, J):
+        checks.append((I, J))
+        return real_subset(I, J)
+
+    monkeypatch.setattr(testideal_module, "ideal_subset", subset)
+    certs = jumps_in_unit_interval(QUINTIC, 3)
+    assert checks == [(c.tau_at, c.tau_left) for c in certs]
+    monkeypatch.setattr(testideal_module, "ideal_subset", lambda I, J: False)
+    with pytest.raises(CharpError, match="not a chain"):
+        jumps_in_unit_interval(QUINTIC, 3)
+
+
+def test_jumps_automaton_capped_by_jump_count_bound(monkeypatch):
+    # the quintic at p = 7 has 5 states; a bound below that is a violated
+    # invariant
+    monkeypatch.setattr(testideal_module, "jump_count_bound", lambda n, M, lam: 3)
+    with pytest.raises(CharpError, match="bound of 4 states"):
+        jumps_in_unit_interval(QUINTIC, 3)
+    monkeypatch.setattr(testideal_module, "jump_count_bound", lambda n, M, lam: 4)
+    assert len(jumps_in_unit_interval(QUINTIC, 3)) == 4
+
+
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_jumps_leaves_no_garbage_cycles(p):
-    # the grid cache and the memo scope go when the call returns, freed by
-    # reference counting, not left to the cycle collector; the level
+    # the digit automaton of jumps and the memo scope go when the call
+    # returns, freed by reference counting, not left to the cycle
+    # collector; the level
     # automaton's edges are state numbers, so the fixed points that every
     # chain ends in (hsl's most of all) make no cycle either
     R = make_ring(p, ["x", "y", "z"])
@@ -421,9 +512,9 @@ def test_jumps_leaves_no_garbage_cycles(p):
 
 
 def test_jumps_grid_reuses_coarse_cells(monkeypatch):
-    # a sub-cell endpoint m*p^k/p^(e+k) keys the grid as m/p^e, so the
-    # refinement walk probes fewer test ideals; keyed on (m, depth) as
-    # given, this walk made 59 tau_ppower calls
+    # jumps probes tau_ppower only for the digit automaton's first row,
+    # tau(f^(d/p)) for d < p; the grid walk it replaced made 59 calls here
+    # keyed on (m, depth) as given, fewer with coarse cells reused
     calls = []
     real = testideal_module.tau_ppower
 
@@ -439,7 +530,7 @@ def test_jumps_grid_reuses_coarse_cells(monkeypatch):
         ("2/3", "certified-jump"),
         ("8/9", "certified-jump"),
     ]
-    assert len(calls) < 59
+    assert calls == [(d, 1) for d in range(3)]
 
 
 def naive_candidates(p, lo, hi, a_max, s_max):
@@ -555,8 +646,10 @@ def test_equal_polynomials_share_root_levels(monkeypatch):
 
 
 # _root_level calls of each search on the quintic at p = 7, as under the
-# earlier level memo keyed by (r, generator terms of J)
-QUINTIC_LEVELS = {"fpt": 10, "hsl": 3, "jumps": 27}
+# earlier level memo keyed by (r, generator terms of J); jumps builds its
+# digit automaton, p = 7 levels for each of its 5 states (the grid and
+# candidate search it replaced computed 27)
+QUINTIC_LEVELS = {"fpt": 10, "hsl": 3, "jumps": 35}
 
 
 def test_searches_compute_each_level_once(monkeypatch):
@@ -596,8 +689,9 @@ def test_equal_test_ideals_are_one_object():
 
 @per_call_memo
 def test_scope_holds_one_ideal_per_state():
-    # every tau_ppower passes a fresh unit ideal; only the first one met
-    # becomes a state, and a state's ideal is indexed by its id and terms
+    # every tau_ppower in the scope passes the same unit ideal, which
+    # becomes a state once, and a state's ideal is indexed by its id and
+    # terms
     for m in range(49):
         tau_ppower(QUINTIC, m, 2)
     table = call_memo("mixed_root", QUINTIC)
@@ -647,10 +741,12 @@ def test_fpt_cusp_where_full_depth_exceeds_root_guard(p):
     assert cert.value == cusp_fpt(p)
 
 
-@pytest.mark.parametrize("p", [23, 29])
+@pytest.mark.parametrize("p", [23, 29, 53, 59, 61, 101, 103])
 def test_jumps_cusp_where_full_depth_exceeds_grid_guard(p):
-    # p^9 > 2^40: drops are refined one level shallower; the only jump
-    # in (0, 1) is the threshold
+    # p^9 > 2^40 from p = 23 and p^4 > 2^40 from p = 53: the grid search
+    # this replaced refined one level short at 23 and 29 and stopped from
+    # 37 on; the digit automaton roots at depth 1 only. The only jump in
+    # (0, 1) is the threshold
     R = make_ring(p, ["x", "y"])
     certs = jumps_in_unit_interval(parse_poly(R, "x^2+y^3"), 3)
     assert [(c.value, c.status) for c in certs] == [(cusp_fpt(p), "certified-jump")]
